@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI / pre-commit gate: style lint, type check, domain lint, docs links,
-# benchmark smoke, tier-1 tests.
+# benchmark smoke, benchmark-harness tests, tier-1 tests.
 #
 #   scripts/check.sh            # full sequence
 #   STRICT_LINT=1 scripts/check.sh   # repro lint treats warnings as errors
@@ -193,7 +193,8 @@ echo "== fast-path equivalence markers =="
 # byte-identical to its exact path -- and that file must exist.
 for module in src/repro/perf/frontier.py src/repro/perf/batch.py \
               src/repro/tester/shmoo.py \
-              src/repro/experiment/streaming/engine.py; do
+              src/repro/experiment/streaming/engine.py \
+              src/repro/ifa/critical_area.py; do
     marker="$(grep -o 'Exact-path equivalence: [^ ]*' "$module" || true)"
     if [ -z "$marker" ]; then
         echo "$module: missing 'Exact-path equivalence: <test file>' marker"
@@ -258,6 +259,9 @@ rm -f "$pool_db" "$serial_db" "$pool_journal"
 
 echo "== pytest (chaos / robustness suite) =="
 python -m pytest -q tests/runner || status=$?
+
+echo "== pytest (benchmark harness: repobench/tests) =="
+python3 -m pytest -q repobench/tests || status=$?
 
 echo "== pytest (tier 1) =="
 python -m pytest -x -q || status=$?

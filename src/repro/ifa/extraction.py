@@ -205,6 +205,10 @@ class IfaExtractor:
         cell, a polarity and (optionally) a resistance from
         ``resistance_sampler(rng)``; resistance defaults to 1 kOhm so R
         sweeps can override it.
+
+        Raises:
+            ValueError: ``n`` is not positive, or no bridge site classes
+                were extracted.
         """
         classes = self.bridge_site_classes()
         return self._sample(n, rng, classes, DefectKind.BRIDGE,
@@ -242,6 +246,10 @@ class IfaExtractor:
                 :class:`~repro.defects.distribution.ResistanceDistribution`;
                 resistances default to 1 kOhm when omitted (matching the
                 scalar samplers' default).
+
+        Raises:
+            ValueError: ``n`` is negative, or no ``kind`` site classes
+                were extracted.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -249,9 +257,7 @@ class IfaExtractor:
             return []
         classes = (self.bridge_site_classes() if kind is DefectKind.BRIDGE
                    else self.open_site_classes())
-        sites = [c.site for c in classes]
-        probs = np.array([c.weight for c in classes], dtype=float)
-        probs = probs / probs.sum()
+        sites, probs = _site_mix(classes, kind)
         picks = rng.choice(len(sites), size=n, p=probs)
         sigmas = np.array([STRENGTH_SIGMA[s] for s in sites], dtype=float)
         strengths = np.exp(rng.normal(0.0, 1.0, size=n) * sigmas[picks])
@@ -274,9 +280,7 @@ class IfaExtractor:
                 resistance_sampler) -> list[Defect]:
         if n <= 0:
             raise ValueError("n must be positive")
-        sites = [c.site for c in classes]
-        probs = np.array([c.weight for c in classes], dtype=float)
-        probs = probs / probs.sum()
+        sites, probs = _site_mix(classes, kind)
         picks = rng.choice(len(sites), size=n, p=probs)
         out: list[Defect] = []
         for i in picks:
@@ -290,3 +294,18 @@ class IfaExtractor:
             out.append(Defect(kind, site, resistance, strength=strength,
                               cell=cell, weight=1.0, polarity=polarity))
         return out
+
+
+def _site_mix(classes: list[ExtractedSiteClass], kind: DefectKind,
+              ) -> tuple[list[BridgeSite | OpenSite], np.ndarray]:
+    """Sites and their normalised pick probabilities.
+
+    Raises:
+        ValueError: No site classes were extracted, e.g. an uncalibrated
+            extractor over a layout without classifiable geometry.
+    """
+    if not classes:
+        raise ValueError(
+            f"no {kind.value} site classes were extracted from the layout")
+    probs = np.array([c.weight for c in classes], dtype=float)
+    return [c.site for c in classes], probs / probs.sum()

@@ -14,6 +14,7 @@ Geometry is expressed in micrometres on named layers matching
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.memory.geometry import MemoryGeometry
@@ -38,6 +39,8 @@ class Rect:
     net: str
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
+            raise ValueError(f"non-finite coordinate on {self.net}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError(f"degenerate rectangle on {self.net}")
 
@@ -99,12 +102,18 @@ class SramLayout:
         max_rows / max_cols: Cap on the *generated* array window.  The
             statistical structure of the layout is periodic, so a modest
             window is enough for extraction; weights are scaled back up
-            by :attr:`replication_factor`.
+            by :attr:`replication_factor`.  Each must be at least 1.
+
+    Raises:
+        ValueError: ``max_rows`` or ``max_cols`` is below 1.
     """
 
     def __init__(self, geometry: MemoryGeometry,
                  tile: CellTileSpec | None = None,
                  max_rows: int = 16, max_cols: int = 16) -> None:
+        for name, value in (("max_rows", max_rows), ("max_cols", max_cols)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.geometry = geometry
         self.tile = tile if tile is not None else CellTileSpec()
         self.gen_rows = min(geometry.rows, max_rows)

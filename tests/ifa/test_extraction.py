@@ -12,7 +12,7 @@ from repro.ifa.extraction import (
     IfaExtractor,
     classify_bridge_pair,
 )
-from repro.ifa.layout import Rect
+from repro.ifa.layout import Rect, SramLayout
 from repro.memory.geometry import MemoryGeometry
 
 
@@ -113,3 +113,36 @@ class TestSampling:
     def test_invalid_count(self, extractor):
         with pytest.raises(ValueError):
             extractor.sample_bridges(0, np.random.default_rng(0))
+
+
+class TestNoSiteClasses:
+    @pytest.fixture
+    def empty(self):
+        # An uncalibrated extractor over geometry with nothing to
+        # classify: one unrecognised facing pair and no vias.
+        geometry = MemoryGeometry(8, 2, 4)
+        layout = SramLayout(geometry, max_rows=1, max_cols=1)
+        layout.rects = [Rect("metal1", 0.0, 0.0, 1.0, 1.0, "x"),
+                        Rect("metal1", 1.2, 0.0, 2.2, 1.0, "y")]
+        layout.vias = []
+        extractor = IfaExtractor(geometry, layout=layout, calibrated=False)
+        assert extractor.bridge_site_classes() == []
+        assert extractor.open_site_classes() == []
+        return extractor
+
+    def test_sample_bridges_names_the_cause(self, empty):
+        with pytest.raises(ValueError, match="no bridge site classes"):
+            empty.sample_bridges(5, np.random.default_rng(0))
+
+    def test_sample_opens_names_the_cause(self, empty):
+        with pytest.raises(ValueError, match="no open site classes"):
+            empty.sample_opens(5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", list(DefectKind))
+    def test_sample_batch_names_the_cause(self, empty, kind):
+        with pytest.raises(ValueError, match=f"no {kind.value} site classes"):
+            empty.sample_batch(5, np.random.default_rng(0), kind)
+
+    def test_sample_batch_zero_still_empty(self, empty):
+        assert empty.sample_batch(0, np.random.default_rng(0),
+                                  DefectKind.BRIDGE) == []

@@ -1,5 +1,7 @@
 """Tests for repro.ifa.layout."""
 
+import math
+
 import pytest
 
 from repro.ifa.layout import CellTileSpec, Rect, SramLayout, Via
@@ -19,6 +21,31 @@ class TestRect:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             Rect("metal1", 1.0, 0.0, 1.0, 1.0, "n")
+
+    @pytest.mark.parametrize("corner", [
+        (math.nan, 0.0, 1.0, 1.0),
+        (0.0, 0.0, math.inf, 1.0),
+        (0.0, -math.inf, 1.0, 1.0),
+        (0.0, 0.0, 1.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, corner):
+        with pytest.raises(ValueError, match="non-finite"):
+            Rect("metal1", *corner, "A")
+
+
+class TestWindowSize:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"max_rows": 0}, "max_rows"),
+        ({"max_cols": 0}, "max_cols"),
+        ({"max_rows": -3}, "max_rows"),
+    ])
+    def test_empty_window_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            SramLayout(MemoryGeometry(8, 2, 4), **kwargs)
+
+    def test_one_cell_window(self):
+        layout = SramLayout(MemoryGeometry(8, 2, 4), max_rows=1, max_cols=1)
+        assert (layout.gen_rows, layout.gen_cols) == (1, 1)
 
 
 class TestLayoutStructure:
