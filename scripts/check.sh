@@ -194,7 +194,8 @@ echo "== fast-path equivalence markers =="
 for module in src/repro/perf/frontier.py src/repro/perf/batch.py \
               src/repro/tester/shmoo.py \
               src/repro/experiment/streaming/engine.py \
-              src/repro/ifa/critical_area.py; do
+              src/repro/ifa/critical_area.py \
+              src/repro/core/estimator.py; do
     marker="$(grep -o 'Exact-path equivalence: [^ ]*' "$module" || true)"
     if [ -z "$marker" ]; then
         echo "$module: missing 'Exact-path equivalence: <test file>' marker"

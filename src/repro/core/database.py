@@ -121,6 +121,17 @@ class CoverageDatabase:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _points(self, kind: str,
+                condition: str) -> list[tuple[float, float]]:
+        """The sorted ``(R, coverage)`` sweep of one (kind, condition)."""
+        key = (kind, condition)
+        if key not in self._index:
+            raise KeyError(
+                f"no records for kind={kind!r}, condition={condition!r}; "
+                f"available: {sorted(self._index)}"
+            )
+        return self._index[key]
+
     def coverage(self, kind: str, condition: str, resistance: float) -> float:
         """Fault coverage at a resistance, log-R interpolated.
 
@@ -128,13 +139,7 @@ class CoverageDatabase:
         curves are monotone-flat at the extremes: very low R is
         detected-or-not regardless, very high R saturates).
         """
-        key = (kind, condition)
-        if key not in self._index:
-            raise KeyError(
-                f"no records for kind={kind!r}, condition={condition!r}; "
-                f"available: {sorted(self._index)}"
-            )
-        points = self._index[key]
+        points = self._points(kind, condition)
         if resistance <= points[0][0]:
             return points[0][1]
         if resistance >= points[-1][0]:
@@ -148,56 +153,79 @@ class CoverageDatabase:
                 return c0 + frac * (c1 - c0)
         raise AssertionError("unreachable")
 
-    def envelope_coverage(self, kind: str, distribution,
-                          n_grid: int = 96) -> float:
-        """Weighted coverage of the best condition at every resistance.
+    def coverage_integrals(self, kind: str, distribution,
+                           n_grid: int = 96
+                           ) -> tuple[dict[str, float], float]:
+        """Defect coverage of every condition of ``kind``, plus the
+        envelope, from one pass over the distribution.
 
-        The per-R maximum over all stored conditions approximates the
-        detectable fraction of the defect population (the union of the
-        suite, up to correlations) -- the denominator for
-        detectability-relative coverage.  Matters mostly for opens,
-        where much of the resistance distribution is electrically
-        benign at every condition.
+        Defect coverage is fault coverage weighted by the resistance
+        distribution (the paper's Section 3.1 step from fault coverage
+        to defect coverage): coverage(R) dP(R) summed over the
+        distribution's quantile grid -- the mass below the grid at its
+        first point, each cell's mass at its log-midpoint, the mass
+        above at its last point.  The envelope is the same sum over the
+        per-R best condition: it approximates the detectable fraction
+        of the defect population (the union of the suite, up to
+        correlations), the denominator for detectability-relative
+        coverage.  It matters mostly for opens, where much of the
+        resistance distribution is electrically benign at every
+        condition.
+
+        The grid, its CDF values and every condition's coverage at each
+        point are computed once; each total is then summed point by
+        point, so it is the same float a per-condition integration
+        gives.
+
+        Returns:
+            ``(defect coverage per condition, envelope)``, conditions
+            in :meth:`conditions` order; every value clamped to [0, 1].
+
+        Raises:
+            KeyError: the database holds no records for ``kind``.
+            ValueError: ``n_grid < 1``.
         """
         conditions = self.conditions(kind)
         if not conditions:
             raise KeyError(f"no records for kind={kind!r}")
         grid = distribution.quantile_grid(n_grid)
-        total = 0.0
-        prev_cdf = distribution.cdf(grid[0])
+        cdfs = [distribution.cdf(r) for r in grid]
+        points = ([grid[0]]
+                  + [math.sqrt(r0 * r1) for r0, r1 in zip(grid, grid[1:])]
+                  + [grid[-1]])
+        masses = ([cdfs[0]]
+                  + [c1 - c0 for c0, c1 in zip(cdfs, cdfs[1:])]
+                  + [1.0 - cdfs[-1]])
+        curves = [[self.coverage(kind, c, r) for r in points]
+                  for c in conditions]
 
-        def best(r: float) -> float:
-            return max(self.coverage(kind, c, r) for c in conditions)
+        def integrate(values: list[float]) -> float:
+            total = 0.0
+            for mass, value in zip(masses, values):
+                total += mass * value
+            return min(max(total, 0.0), 1.0)
 
-        total += prev_cdf * best(grid[0])
-        for r0, r1 in zip(grid, grid[1:]):
-            cdf1 = distribution.cdf(r1)
-            total += (cdf1 - prev_cdf) * best(math.sqrt(r0 * r1))
-            prev_cdf = cdf1
-        total += (1.0 - prev_cdf) * best(grid[-1])
-        return min(max(total, 0.0), 1.0)
+        by_condition = {c: integrate(curve)
+                        for c, curve in zip(conditions, curves)}
+        return by_condition, integrate([max(v) for v in zip(*curves)])
+
+    def envelope_coverage(self, kind: str, distribution,
+                          n_grid: int = 96) -> float:
+        """Weighted coverage of the best condition at every resistance
+        (see :meth:`coverage_integrals`)."""
+        return self.coverage_integrals(kind, distribution, n_grid)[1]
 
     def weighted_coverage(self, kind: str, condition: str,
                           distribution, n_grid: int = 96) -> float:
-        """Defect coverage: fault coverage weighted by the resistance
-        distribution (the paper's Section 3.1 step from fault coverage to
-        defect coverage).
+        """Defect coverage of one condition (see
+        :meth:`coverage_integrals`).
 
-        Numerically integrates coverage(R) dP(R) over the distribution's
-        quantile grid.
+        Raises:
+            KeyError: no records for ``(kind, condition)``.
         """
-        grid = distribution.quantile_grid(n_grid)
-        total = 0.0
-        prev_cdf = distribution.cdf(grid[0])
-        total += prev_cdf * self.coverage(kind, condition, grid[0])
-        for r0, r1 in zip(grid, grid[1:]):
-            cdf1 = distribution.cdf(r1)
-            mass = cdf1 - prev_cdf
-            mid = math.sqrt(r0 * r1)
-            total += mass * self.coverage(kind, condition, mid)
-            prev_cdf = cdf1
-        total += (1.0 - prev_cdf) * self.coverage(kind, condition, grid[-1])
-        return min(max(total, 0.0), 1.0)
+        self._points(kind, condition)
+        return self.coverage_integrals(kind, distribution,
+                                       n_grid)[0][condition]
 
     # ------------------------------------------------------------------
     # Persistence

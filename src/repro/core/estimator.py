@@ -15,6 +15,16 @@ it reports, per stress condition:
 * defect coverage (fault coverage weighted by the fab R-distribution),
 * yield (from area and D0) and the Williams-Brown DPM,
 * DPM normalised to the best condition (the paper normalises VLV = 1x).
+
+The first three are independent of the queried geometry, so the
+estimator computes them once, when it is built, for every kind in the
+database (:meth:`~repro.core.database.CoverageDatabase.
+coverage_integrals`).  A query then costs only the yield, the DPM and
+the normalisation per condition.  The estimator is a snapshot of its
+database: build a new one after
+:meth:`~repro.core.database.CoverageDatabase.add_records`.
+
+Exact-path equivalence: tests/core/test_estimator.py
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.database import CoverageDatabase
-from repro.core.williams_brown import defect_level, dpm, poisson_yield
+from repro.core.williams_brown import dpm, poisson_yield
 from repro.defects.distribution import (
     DefectDensity,
     ResistanceDistribution,
@@ -132,8 +142,29 @@ class EstimatorReport:
         return w / b
 
 
+@dataclass(frozen=True)
+class _KindTable:
+    """The geometry-independent part of one kind's report.
+
+    Attributes:
+        defect_coverage: Condition -> defect coverage, suite order.
+        envelope: Defect coverage of the per-R best condition.
+        fault_coverage: Condition -> (stored R -> fault coverage).
+    """
+
+    defect_coverage: dict[str, float]
+    envelope: float
+    fault_coverage: dict[str, dict[float, float]]
+
+
 class FaultCoverageEstimator:
     """Estimate fault coverage / defect coverage / DPM from the database.
+
+    Construction integrates every kind in ``database`` against its
+    resistance distribution; :meth:`estimate` only reads those tables.
+    Neither a later :meth:`~repro.core.database.CoverageDatabase.
+    add_records` on ``database`` nor a reassigned distribution reaches
+    an existing estimator -- build a new one.
 
     Args:
         database: Pre-calculated coverage results (from an
@@ -155,6 +186,20 @@ class FaultCoverageEstimator:
                                     or default_bridge_distribution())
         self.open_distribution = open_distribution or default_open_distribution()
         self.density = density if density is not None else DefectDensity()
+        self._kinds = database.kinds()
+        self._tables: dict[str, _KindTable] = {}
+        for kind, dist in (("bridge", self.bridge_distribution),
+                           ("open", self.open_distribution)):
+            if not database.conditions(kind):
+                continue
+            defect_coverage, envelope = database.coverage_integrals(kind,
+                                                                    dist)
+            resistances = database.resistances(kind)
+            self._tables[kind] = _KindTable(defect_coverage, envelope, {
+                condition: {r: database.coverage(kind, condition, r)
+                            for r in resistances}
+                for condition in defect_coverage
+            })
 
     # ------------------------------------------------------------------
     def yield_for(self, geometry: MemoryGeometry) -> float:
@@ -174,44 +219,41 @@ class FaultCoverageEstimator:
 
         Returns:
             An :class:`EstimatorReport` with per-condition coverage and
-            normalised DPM.
+            normalised DPM.  Each report carries its own
+            ``fault_coverage`` dicts; mutating them changes no other
+            report.
 
         Raises:
             ValueError: ``kind`` is not a defect kind, or the yield is
                 outside ``(0, 1]``.
-            KeyError: the database holds no records for ``kind`` (same
-                message path as
-                :meth:`~repro.core.database.CoverageDatabase.coverage`).
+            KeyError: the database held no records for ``kind`` when
+                the estimator was built (the message lists the kinds it
+                did hold).
         """
         if kind not in ("bridge", "open"):
             raise ValueError("kind must be 'bridge' or 'open'")
-        if not self.database.conditions(kind):
+        table = self._tables.get(kind)
+        if table is None:
             raise KeyError(
                 f"no records for kind={kind!r}; "
-                f"available kinds: {self.database.kinds()}")
-        dist = (self.bridge_distribution if kind == "bridge"
-                else self.open_distribution)
+                f"available kinds: {self._kinds}")
         y = (self.yield_for(geometry) if yield_fraction is None
              else yield_fraction)
         if not 0.0 < y <= 1.0:
             raise ValueError(f"yield must be in (0, 1], got {y}")
 
-        envelope = self.database.envelope_coverage(kind, dist)
-        estimates = []
-        for condition in self.database.conditions(kind):
-            fc = {
-                r: self.database.coverage(kind, condition, r)
-                for r in self.database.resistances(kind)
-            }
-            dc = self.database.weighted_coverage(kind, condition, dist)
-            estimates.append(ConditionEstimate(
+        envelope = table.envelope
+        estimates = [
+            ConditionEstimate(
                 condition=condition,
-                fault_coverage=fc,
+                fault_coverage=dict(table.fault_coverage[condition]),
                 defect_coverage=dc,
                 dpm=dpm(y, dc),
                 relative_coverage=(dc / envelope if envelope > 0 else 1.0),
-            ))
-        best = min(e.dpm for e in estimates) if estimates else 0.0
+            )
+            for condition, dc in table.defect_coverage.items()
+        ]
+        best = min(e.dpm for e in estimates)
         normalised = tuple(e.with_normalisation(best) for e in estimates)
         return EstimatorReport(kind, geometry, y, normalised)
 

@@ -37,6 +37,10 @@ class LognormalComponent:
     sigma: float
 
     def __post_init__(self) -> None:
+        for name in ("weight", "median", "sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
         if self.median <= 0 or self.sigma <= 0:
@@ -108,7 +112,14 @@ class ResistanceDistribution:
     def quantile_grid(self, n: int = 64, lo_q: float = 0.001,
                       hi_q: float = 0.999) -> np.ndarray:
         """Log-spaced resistance grid covering the distribution's bulk,
-        used by the coverage integrator."""
+        used by the coverage integrator.
+
+        Raises:
+            ValueError: ``n < 1`` (the integrator needs a first and a
+                last grid point).
+        """
+        if n < 1:
+            raise ValueError(f"quantile grid needs n >= 1 points, got {n}")
         lo = self._quantile(lo_q)
         hi = self._quantile(hi_q)
         return np.logspace(math.log10(lo), math.log10(hi), n)
@@ -172,6 +183,9 @@ class DefectDensity:
     bridge_fraction: float = 0.7
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.d0_per_cm2):
+            raise ValueError(
+                f"d0_per_cm2 must be finite, got {self.d0_per_cm2!r}")
         if self.d0_per_cm2 <= 0:
             raise ValueError("d0_per_cm2 must be positive")
         if not 0.0 <= self.bridge_fraction <= 1.0:

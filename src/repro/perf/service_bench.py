@@ -23,8 +23,9 @@ Three measurements:
   never a reinterpretation.
 
 The validator (:func:`validate_service_bench`) enforces the floors:
-warm queries/sec at least :data:`MIN_WARM_QPS`, ``warm_hit_rate``
-exactly 1.0 and ``byte_identical`` true.
+warm queries/sec at least :data:`MIN_WARM_QPS`, cold queries/sec at
+least :data:`MIN_COLD_QPS`, ``warm_hit_rate`` exactly 1.0 and
+``byte_identical`` true.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ SERVICE_BENCH_SCHEMA = "repro.bench-service/1"
 #: round-trip; measured rates are in the thousands, so 200/sec only
 #: trips if caching stops working or the hot path grows real compute.
 MIN_WARM_QPS = 200.0
+
+#: Cold-path throughput floor (requests/sec, every request a cache
+#: miss).  The estimator integrates once per database snapshot, so a
+#: miss is parse + per-condition DPM + rendering, measured near 1000/sec;
+#: a request that repeats the integration runs at ~100/sec and trips it.
+MIN_COLD_QPS = 300.0
 
 
 @dataclass(frozen=True)
@@ -262,8 +269,9 @@ def validate_service_bench(doc: Any) -> list[str]:
     """Validate a BENCH_service.json document's schema and floors.
 
     Beyond shape, enforces the acceptance floors: warm throughput at
-    least :data:`MIN_WARM_QPS` requests/sec, ``warm_hit_rate`` exactly
-    1.0 and ``byte_identical`` true.
+    least :data:`MIN_WARM_QPS` requests/sec, cold throughput at least
+    :data:`MIN_COLD_QPS` requests/sec, ``warm_hit_rate`` exactly 1.0 and
+    ``byte_identical`` true.
 
     Args:
         doc: Parsed JSON document.
@@ -294,6 +302,11 @@ def validate_service_bench(doc: Any) -> list[str]:
     if isinstance(qps, (int, float)) and qps < MIN_WARM_QPS:
         problems.append(
             f"qps = {qps} is below the {MIN_WARM_QPS} warm floor")
+    cold = doc.get("cold")
+    cold_qps = cold.get("qps") if isinstance(cold, dict) else None
+    if isinstance(cold_qps, (int, float)) and cold_qps < MIN_COLD_QPS:
+        problems.append(
+            f"cold.qps = {cold_qps} is below the {MIN_COLD_QPS} cold floor")
     if doc.get("warm_hit_rate") != 1.0:
         problems.append("warm_hit_rate is not exactly 1.0")
     if doc.get("byte_identical") is not True:

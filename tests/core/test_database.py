@@ -278,6 +278,21 @@ class TestEnvelope:
         for cond in db.conditions("bridge"):
             assert env >= db.weighted_coverage("bridge", cond, dist) - 1e-9
 
+    @pytest.mark.parametrize("n_grid", [0, -3])
+    def test_integrals_reject_empty_grid(self, db, n_grid):
+        dist = default_bridge_distribution()
+        with pytest.raises(ValueError, match="n >= 1"):
+            db.coverage_integrals("bridge", dist, n_grid)
+        with pytest.raises(ValueError, match="n >= 1"):
+            db.weighted_coverage("bridge", "VLV", dist, n_grid)
+        with pytest.raises(ValueError, match="n >= 1"):
+            db.envelope_coverage("bridge", dist, n_grid)
+
+    def test_weighted_unknown_condition_names_it(self, db):
+        with pytest.raises(KeyError, match="condition='Vnom'"):
+            db.weighted_coverage("bridge", "Vnom",
+                                 default_bridge_distribution())
+
     def test_envelope_unknown_kind(self, db):
         from repro.defects.distribution import default_bridge_distribution
 

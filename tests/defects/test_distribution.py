@@ -39,6 +39,16 @@ class TestComponentValidation:
         with pytest.raises(ValueError):
             ResistanceDistribution([])
 
+    @pytest.mark.parametrize("field", ["weight", "median", "sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_named(self, field, bad):
+        """A NaN median used to surface far away, as a DPM coverage
+        error; an infinite sigma was accepted outright."""
+        params = {"weight": 0.5, "median": 100.0, "sigma": 1.0}
+        params[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LognormalComponent(**params)
+
     def test_weights_normalised(self):
         d = ResistanceDistribution([
             LognormalComponent(2.0, 100.0, 1.0),
@@ -109,6 +119,15 @@ class TestQuantileGrid:
         grid = open_dist.quantile_grid(16)
         assert np.all(np.diff(grid) > 0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_grid_rejected(self, bridge_dist, n):
+        """``n=0`` used to reach the integrator as a bare IndexError."""
+        with pytest.raises(ValueError, match="n >= 1"):
+            bridge_dist.quantile_grid(n)
+
+    def test_single_point_grid(self, bridge_dist):
+        assert len(bridge_dist.quantile_grid(1)) == 1
+
 
 class TestDefectDensity:
     def test_yield_formula(self):
@@ -128,3 +147,9 @@ class TestDefectDensity:
             DefectDensity(bridge_fraction=1.5)
         with pytest.raises(ValueError):
             DefectDensity().defects_per_chip(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_density_named(self, bad):
+        """NaN used to surface as a yield error, inf as a 0.0 yield."""
+        with pytest.raises(ValueError, match="d0_per_cm2 must be finite"):
+            DefectDensity(d0_per_cm2=bad)
