@@ -195,7 +195,8 @@ for module in src/repro/perf/frontier.py src/repro/perf/batch.py \
               src/repro/tester/shmoo.py \
               src/repro/experiment/streaming/engine.py \
               src/repro/ifa/critical_area.py \
-              src/repro/core/estimator.py; do
+              src/repro/core/estimator.py \
+              src/repro/tester/ate.py; do
     marker="$(grep -o 'Exact-path equivalence: [^ ]*' "$module" || true)"
     if [ -z "$marker" ]; then
         echo "$module: missing 'Exact-path equivalence: <test file>' marker"

@@ -41,7 +41,7 @@ class MemoryState:
         return self.n_cells
 
     def get(self, address: int) -> int:
-        return int(self.bits[address])
+        return self.bits.item(address)
 
     def set(self, address: int, value: int) -> None:
         self.bits[address] = value

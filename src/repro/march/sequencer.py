@@ -20,8 +20,8 @@ Downstream consumers: the functional fault simulator
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.march.element import AddressOrder, MarchElement
 from repro.march.ops import Op
@@ -38,9 +38,11 @@ class DataBackground(Enum):
     COLUMN_STRIPES = "column_stripes"
 
 
-@dataclass(frozen=True)
-class CycleOp:
+class CycleOp(NamedTuple):
     """One memory operation at one clock cycle.
+
+    A named tuple: immutable, hashable and cheap to build, since one is
+    built per cycle of every simulated march run.
 
     Attributes:
         cycle: Zero-based clock-cycle index within the whole test.

@@ -36,15 +36,14 @@ class BitArray:
         width = self.geometry.bits_per_word
         if not 0 <= value < (1 << width):
             raise ValueError(f"word value {value} out of range for {width} bits")
-        for bit in range(width):
-            self.bits[self.geometry.cell_index(address, bit)] = (value >> bit) & 1
+        for bit, cell in enumerate(self.geometry.word_cells(address)):
+            self.bits[cell] = (value >> bit) & 1
 
     def read_word(self, address: int) -> int:
         """Read the word at ``address``; unknown cells read as 0."""
         value = 0
-        for bit in range(self.geometry.bits_per_word):
-            cell = self.bits[self.geometry.cell_index(address, bit)]
-            if cell == 1:
+        for bit, cell in enumerate(self.geometry.word_cells(address)):
+            if self.bits[cell] == 1:
                 value |= 1 << bit
         return value
 

@@ -103,17 +103,28 @@ class MemoryGeometry:
         ``bitline = bit * columns + column`` -- the standard interleaved
         organisation (important for coupling-fault adjacency).
         """
-        if not 0 <= bit < self.bits_per_word:
-            raise ValueError(f"bit index out of range: {bit}")
+        self._check_bit(bit)
         block, row, col = self.split_address(word_address)
         return block, row, bit * self.columns + col
+
+    def word_cells(self, word_address: int) -> range:
+        """Flat cell indices of a word's bits, bit 0 first.
+
+        The one copy of the flat cell mapping: bit *b* of the word lives
+        at ``word_cells(a)[b]``.  The address is checked and split once
+        per word, not once per bit.
+        """
+        block, row, col = self.split_address(word_address)
+        base = (block * self.bits_per_block
+                + row * self.bitlines_per_block + col)
+        return range(base, base + self.bits_per_word * self.columns,
+                     self.columns)
 
     def cell_index(self, word_address: int, bit: int) -> int:
         """Flat bit-cell index over the whole memory (for the functional
         simulator's one-dimensional cell space)."""
-        block, row, bitline = self.bit_position(word_address, bit)
-        return (block * self.bits_per_block
-                + row * self.bitlines_per_block + bitline)
+        self._check_bit(bit)
+        return self.word_cells(word_address)[bit]
 
     def neighbours(self, word_address: int, bit: int) -> list[tuple[int, int]]:
         """Physically adjacent cells of a bit: (word_address, bit) pairs.
@@ -131,6 +142,10 @@ class MemoryGeometry:
             bit_idx, col = divmod(b, self.columns)
             result.append((self.join_address(block, r, col), bit_idx))
         return result
+
+    def _check_bit(self, bit: int) -> None:
+        if not 0 <= bit < self.bits_per_word:
+            raise ValueError(f"bit index out of range: {bit}")
 
     def _check_word_address(self, word_address: int) -> None:
         if not 0 <= word_address < self.words:

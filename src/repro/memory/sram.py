@@ -6,7 +6,11 @@ into one device-under-test.  Two faces:
 
 * **functional**: word-oriented read/write with an attachable list of
   cell-level :class:`~repro.faults.models.FunctionalFault` behaviours --
-  the march sequencer and virtual tester drive this face cycle by cycle;
+  the march sequencer and virtual tester drive this face cycle by cycle.
+  A word access decodes its address once
+  (:meth:`~repro.memory.geometry.MemoryGeometry.word_cells`) and then
+  sends each bit's cell, bit 0 first, through the faults; one access is
+  one cycle;
 * **electrical**: first-order access/cycle time as a function of supply
   voltage, which draws the fault-free shmoo boundary of the paper's
   Figure 3 (the reason VLV testing must run at reduced frequency,
@@ -141,16 +145,14 @@ class Sram:
         width = self.geometry.bits_per_word
         if not 0 <= value < (1 << width):
             raise ValueError(f"word value {value} out of range")
-        for bit in range(width):
-            cell = self.geometry.cell_index(address, bit)
+        for bit, cell in enumerate(self.geometry.word_cells(address)):
             self._apply_write(cell, (value >> bit) & 1)
         self._cycle += 1
 
     def read_word(self, address: int) -> int:
         """Read a word through all attached fault behaviours."""
         value = 0
-        for bit in range(self.geometry.bits_per_word):
-            cell = self.geometry.cell_index(address, bit)
+        for bit, cell in enumerate(self.geometry.word_cells(address)):
             if self._apply_read(cell) == 1:
                 value |= 1 << bit
         self._cycle += 1

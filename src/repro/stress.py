@@ -18,6 +18,7 @@ builds the paper's five-condition production suite for any technology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.circuit.technology import Technology
@@ -40,6 +41,12 @@ class StressCondition:
     temperature: float = 25.0
 
     def __post_init__(self) -> None:
+        # A NaN compares false against every bound: without this check
+        # vdd=nan would read as a gross-timing fail on every device and
+        # period=inf would pass everything.
+        for name in ("vdd", "period", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.vdd <= 0:
             raise ValueError("vdd must be positive")
         if self.period <= 0:

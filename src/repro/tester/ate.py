@@ -15,7 +15,11 @@ Two execution modes:
   defects); used for shmoo plots and the 11k-device population.
 * ``quick=False``: the manifested defects are rendered into functional
   faults and the march test is run word-by-word through the SRAM model;
-  returns every failing read with march-element attribution.
+  returns every failing read with march-element attribution.  Its
+  verdicts and fail logs are checked against a per-bit reference
+  simulator.
+
+Exact-path equivalence: tests/tester/test_full_mode_equivalence.py
 """
 
 from __future__ import annotations
@@ -119,40 +123,45 @@ class VirtualTester:
                   test: MarchTest, condition: StressCondition,
                   background: DataBackground = DataBackground.SOLID,
                   ) -> TestResult:
+        # The sram may be shared (a diagnostician's or a bench's): its
+        # faults must not outlive this run, even one that raises.
         sram.clear_faults()
-        for m in manifested:
-            sram.attach_fault(to_functional_fault(m, geometry=sram.geometry))
-        sram.power_cycle()
+        try:
+            for m in manifested:
+                sram.attach_fault(
+                    to_functional_fault(m, geometry=sram.geometry))
+            sram.power_cycle()
 
-        width = sram.geometry.bits_per_word
-        all_ones = (1 << width) - 1
-        sequencer = MarchSequencer(sram.geometry.words,
-                                   columns=sram.geometry.columns)
-        result = TestResult(True, condition, test.name,
-                            manifestations=manifested)
-        for cop in sequencer.run(test, background):
-            word_value = all_ones if cop.value else 0
-            if cop.op.is_write:
-                sram.write_word(cop.address, word_value)
-                continue
-            actual = sram.read_word(cop.address)
-            if actual == word_value:
-                continue
-            result.passed = False
-            diff = actual ^ word_value
-            for bit in range(width):
-                if (diff >> bit) & 1:
-                    result.fails.append(AteFailRecord(
-                        cycle=cop.cycle,
-                        element_index=cop.element_index,
-                        op_index=cop.op_index,
-                        address=cop.address,
-                        bit=bit,
-                        expected=cop.value,
-                        actual=1 - cop.value,
-                    ))
-        sram.clear_faults()
-        return result
+            width = sram.geometry.bits_per_word
+            all_ones = (1 << width) - 1
+            sequencer = MarchSequencer(sram.geometry.words,
+                                       columns=sram.geometry.columns)
+            result = TestResult(True, condition, test.name,
+                                manifestations=manifested)
+            for cop in sequencer.run(test, background):
+                word_value = all_ones if cop.value else 0
+                if cop.op.is_write:
+                    sram.write_word(cop.address, word_value)
+                    continue
+                actual = sram.read_word(cop.address)
+                if actual == word_value:
+                    continue
+                result.passed = False
+                diff = actual ^ word_value
+                for bit in range(width):
+                    if (diff >> bit) & 1:
+                        result.fails.append(AteFailRecord(
+                            cycle=cop.cycle,
+                            element_index=cop.element_index,
+                            op_index=cop.op_index,
+                            address=cop.address,
+                            bit=bit,
+                            expected=cop.value,
+                            actual=1 - cop.value,
+                        ))
+            return result
+        finally:
+            sram.clear_faults()
 
     # ------------------------------------------------------------------
     def condition_signature(self, sram: Sram, defects: list[Defect],

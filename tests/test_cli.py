@@ -203,6 +203,20 @@ class TestCampaign:
         assert main(["campaign", "resume", ck, "--workers", "2"]) == 0
         assert "resumed from checkpoint" in capsys.readouterr().out
 
+    def test_nan_condition_in_checkpoint_meta_is_named(self, capsys,
+                                                       tmp_path):
+        from repro.cli import _campaign_flow_from_meta
+        from repro.runner.checkpoint import CampaignCheckpoint
+
+        ck = str(tmp_path / "ck.json")
+        assert main(["campaign", "run", *self.ARGS,
+                     "--checkpoint", ck]) == 0
+        meta = CampaignCheckpoint.load(ck).meta
+        _campaign_flow_from_meta(meta)
+        meta["sweeps"][0]["conditions"][0][1] = float("nan")
+        with pytest.raises(ValueError, match="vdd must be finite"):
+            _campaign_flow_from_meta(meta)
+
     def test_status_missing_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["campaign", "status", str(tmp_path / "absent.json")])

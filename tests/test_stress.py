@@ -1,5 +1,7 @@
 """Tests for repro.stress (the condition vocabulary)."""
 
+import math
+
 import pytest
 
 from repro.circuit.technology import CMOS013, CMOS018
@@ -22,6 +24,21 @@ class TestStressCondition:
             StressCondition("x", 0.0, 1e-9)
         with pytest.raises(ValueError):
             StressCondition("x", 1.8, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vdd(self, bad):
+        with pytest.raises(ValueError, match="vdd must be finite"):
+            StressCondition("x", bad, 1e-8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_period(self, bad):
+        with pytest.raises(ValueError, match="period must be finite"):
+            StressCondition("x", 1.8, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_temperature(self, bad):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            StressCondition("x", 1.8, 1e-8, bad)
 
     def test_str_formats_units(self):
         text = str(StressCondition("VLV", 1.0, 100e-9))
