@@ -478,8 +478,8 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
         flow.campaign.behavior = ChaosBehaviorModel(
             flow.campaign.behavior, injector)
     strategy = getattr(args, "strategy", "exact")
-    if strategy in ("frontier", "batch") and args.workers > 1:
-        print(f"--strategy {strategy} is serial; drop --workers "
+    if strategy == "batch" and args.workers > 1:
+        print("--strategy batch is serial; drop --workers "
               "(its group tables already shrink the work the pool "
               "would parallelise)", file=sys.stderr)
         return 2
@@ -518,16 +518,6 @@ def _campaign_execute(flow, specs, args: argparse.Namespace) -> int:
               f"{ss['poison_units']} poison unit(s) quarantined"
               + (f", {ss['degraded_units']} unit(s) DEGRADED to "
                  "serial" if ss["degraded_units"] else ""))
-    if result.frontier_stats is not None:
-        fs = result.frontier_stats
-        print(f"frontier: {fs['model_invocations']} model invocations "
-              f"over {fs['groups']} derived groups "
-              f"({fs['cached_groups']} cached, "
-              f"{fs['batch_sites']} batch / "
-              f"{fs['analytic_sites']} analytic / "
-              f"{fs['bisection_sites']} bisected / "
-              f"{fs['exact_sites'] + fs['demoted_sites']} exact sites, "
-              f"{fs['crosscheck_mismatches']} cross-check mismatches)")
     if result.batch_stats is not None:
         bs = result.batch_stats
         print(f"batch: {bs['model_invocations']} model invocations "
@@ -878,13 +868,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(skips already-simulated points; see "
                              "docs/performance.md)")
         cp.add_argument("--strategy",
-                        choices=("exact", "frontier", "batch"),
+                        choices=("exact", "batch"),
                         default="exact",
-                        help="unit evaluation: exact per-site sweep, "
-                             "the monotone-frontier threshold solver, "
-                             "or the vectorised batch kernel "
-                             "(both byte-identical to exact, far "
-                             "fewer model invocations; serial only)")
+                        help="unit evaluation: exact per-site sweep, or "
+                             "the vectorised batch kernel "
+                             "(byte-identical to exact, far fewer "
+                             "model invocations; serial only)")
         cp.add_argument("--max-attempts", type=int, default=3,
                         help="retry attempts per site evaluation")
         cp.add_argument("--unit-deadline", type=float, default=None,

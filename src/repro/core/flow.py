@@ -134,11 +134,9 @@ class MemoryTestFlow:
             workers: Evaluation processes (1 = serial).
             cache: Optional :class:`~repro.perf.cache.EvaluationCache`
                 or cache-file path.
-            strategy: ``"exact"``, ``"frontier"`` (the monotone
-                threshold sweep solver, :mod:`repro.perf.frontier`) or
-                ``"batch"`` (the vectorised group evaluator,
-                :mod:`repro.perf.batch`); records are byte-identical
-                in all three.
+            strategy: ``"exact"`` (the oracle) or ``"batch"`` (the
+                vectorised group evaluator, :mod:`repro.perf.batch`);
+                records are byte-identical in both.
             journal: Optional JSONL run-journal path (or event bus)
                 recording the campaign's structured event stream
                 (:mod:`repro.obs`); ``None`` keeps observability off

@@ -151,11 +151,9 @@ class IfaCampaign:
             workers: Evaluation processes (1 = serial).
             cache: Optional :class:`~repro.perf.cache.EvaluationCache`
                 or cache-file path.
-            strategy: ``"exact"``, ``"frontier"`` (the monotone
-                threshold sweep solver, :mod:`repro.perf.frontier`) or
-                ``"batch"`` (the vectorised group evaluator,
-                :mod:`repro.perf.batch`); records are byte-identical
-                in all three.
+            strategy: ``"exact"`` (the oracle) or ``"batch"`` (the
+                vectorised group evaluator, :mod:`repro.perf.batch`);
+                records are byte-identical in both.
 
         Raises:
             ValueError: empty ``resistances`` or ``conditions``, or a

@@ -1,6 +1,6 @@
 """Observability for campaign runs: events, metrics and reports.
 
-``repro.obs`` gives every execution layer (runner, cache, frontier,
+``repro.obs`` gives every execution layer (runner, cache, batch,
 shmoo, database) one way to leave a machine-readable account of what
 happened and why:
 

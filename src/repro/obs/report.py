@@ -51,7 +51,7 @@ def build_report(meta: dict[str, Any],
     Returns:
         A JSON-serialisable dict: run totals, per-condition unit
         table, cache statistics (including corrupt discards), retry /
-        quarantine / frontier-demotion tables, pool-supervision
+        quarantine / batch-demotion tables, pool-supervision
         counters (worker losses, rebuilds, poison units), checkpoint
         activity and -- when present -- shmoo, streaming-experiment
         and estimator-service summaries.
@@ -64,8 +64,6 @@ def build_report(meta: dict[str, Any],
              "discarded_corrupt": []}
     retries: dict[str, Any] = {"attempts": 0, "by_unit": {}}
     quarantines: list[dict[str, Any]] = []
-    demotions: list[dict[str, Any]] = []
-    frontier_groups: list[dict[str, Any]] = []
     batch_demotions: list[dict[str, Any]] = []
     batch_groups: list[dict[str, Any]] = []
     checkpoints = {"saves": 0, "resumes": 0}
@@ -136,10 +134,6 @@ def build_report(meta: dict[str, Any],
         elif event.name == "pool.degrade_serial":
             pool["degraded"] = True
             pool["degraded_units"] += data["units"]
-        elif event.name == "frontier.group":
-            frontier_groups.append(dict(data))
-        elif event.name == "frontier.demote":
-            demotions.append(dict(data))
         elif event.name == "batch.group":
             batch_groups.append(dict(data))
         elif event.name == "batch.demote":
@@ -205,7 +199,6 @@ def build_report(meta: dict[str, Any],
         "cache": cache,
         "retries": retries,
         "quarantines": quarantines,
-        "frontier": {"groups": frontier_groups, "demotions": demotions},
         "batch": {"groups": batch_groups, "demotions": batch_demotions},
         "pool": pool,
         "checkpoints": checkpoints,
@@ -296,16 +289,6 @@ def render_text(report: dict[str, Any]) -> str:
     else:
         lines.append("  (none)")
 
-    lines.append("")
-    lines.append("Frontier demotions:")
-    if report["frontier"]["demotions"]:
-        rows = [[d["kind"], d["condition"], str(d["site_index"]),
-                 d["reason"], d["stage"]]
-                for d in report["frontier"]["demotions"]]
-        lines.extend("  " + ln for ln in _table(
-            ["kind", "condition", "site", "reason", "stage"], rows))
-    else:
-        lines.append("  (none)")
 
     lines.append("")
     lines.append("Batch demotions:")

@@ -13,18 +13,12 @@ byte-identical results:
   pre-calculated simulation results.
 
 A third accelerator changes the *amount* of work instead of its
-schedule: :mod:`repro.perf.frontier` exploits the paper's monotone
-detection frontiers to answer a sweep's whole R axis from one threshold
-pass per (site, condition) -- guarded by cross-check sampling and
-per-site exact fallback so the records stay byte-identical
-(``CampaignRunner(strategy="frontier")``).
-
-A fourth removes the per-site Python loop altogether:
-:mod:`repro.perf.batch` answers each (kind, condition) group's full
-site x R grid in one vectorised ``evaluate_batch`` call whose closed
-forms replicate the scalar float arithmetic operation-for-operation,
-guarded by the same cross-check/demotion machinery and whole-group
-scalar fallback (``CampaignRunner(strategy="batch")``; see
+schedule: :mod:`repro.perf.batch` answers each (kind, condition)
+group's full site x R grid in one vectorised ``evaluate_batch`` call
+whose closed forms replicate the scalar float arithmetic
+operation-for-operation, guarded by cross-check sampling, per-site
+demotion and whole-group scalar fallback so the records stay
+byte-identical (``CampaignRunner(strategy="batch")``; see
 ``docs/batch_kernel.md``).
 
 All plug into :class:`repro.runner.campaign.CampaignRunner` via its
@@ -33,7 +27,7 @@ harnesses live in :mod:`repro.perf.bench` and
 :mod:`repro.perf.frontier_bench`.  See ``docs/performance.md``.
 """
 
-from repro.perf.batch import BatchEvaluator, BatchStats
+from repro.perf.batch import BatchEvaluator, BatchPolicy, BatchStats
 from repro.perf.cache import (
     EvaluationCache,
     frontier_cache_key,
@@ -53,14 +47,10 @@ from repro.perf.fingerprint import (
     fingerprint_document,
     population_fingerprint,
 )
-from repro.perf.frontier import (
-    FrontierPolicy,
-    FrontierStats,
-    FrontierUnitEvaluator,
-)
 
 __all__ = [
     "BatchEvaluator",
+    "BatchPolicy",
     "BatchStats",
     "EvaluationCache",
     "frontier_cache_key",
@@ -77,7 +67,4 @@ __all__ = [
     "fingerprint_digest",
     "fingerprint_document",
     "population_fingerprint",
-    "FrontierPolicy",
-    "FrontierStats",
-    "FrontierUnitEvaluator",
 ]

@@ -1,17 +1,15 @@
 """Vectorised batch evaluation: one numpy call per sweep group.
 
-The frontier solver (:mod:`repro.perf.frontier`) already cut the
-Table-1 sweep's model invocations 20-fold, but its per-unit Python loop
-over every site kept the wall-clock win at barely 1.1x.  This module
-removes that loop.  Per (kind, condition) group the behaviour model's
-optional :meth:`~repro.defects.behavior.DefectBehaviorModel.
-evaluate_batch` hook answers the full site x R grid in **one**
-vectorised call; per-resistance detection counts are then precomputed
-column sums, so evaluating a work unit costs O(1) Python work instead
-of O(sites).
+The campaign sweep asks the behaviour model the same structural
+question once per (site, R, condition) cell.  Per (kind, condition)
+group the model's optional :meth:`~repro.defects.behavior.
+DefectBehaviorModel.evaluate_batch` hook answers the full site x R grid
+in **one** vectorised call; per-resistance detection counts are then
+precomputed column sums, so evaluating a work unit costs O(1) Python
+work instead of O(sites).  This is the one fast campaign strategy
+beside the exact oracle (``CampaignRunner(strategy="batch")``).
 
-**Exactness is guarded, not assumed** -- the same three-layer defence
-as the frontier solver:
+**Exactness is guarded, not assumed:**
 
 1. the hook's closed forms replicate the scalar float arithmetic
    operation-for-operation (same operand grouping, same comparisons,
@@ -29,10 +27,9 @@ as the frontier solver:
 Exact-path equivalence: tests/perf/test_batch.py
 
 Derived group tables are content-addressed into the evaluation cache
-under the *same* key as frontier tables
-(:func:`repro.perf.cache.frontier_cache_key`): both artefacts are the
-group's detection rows, so a table derived by either strategy serves
-the other.
+(:func:`repro.perf.cache.frontier_cache_key`, payload schema
+:data:`TABLE_SCHEMA`).  Both names predate this module and are kept
+verbatim: renaming either would orphan every existing cache file.
 
 Chaos note: :class:`~repro.runner.chaos.ChaosBehaviorModel` explicitly
 declines the hook (``evaluate_batch = None``), so chaos campaigns take
@@ -54,7 +51,6 @@ import numpy as np
 
 from repro.defects.models import Defect, DefectKind
 from repro.ifa.flow import CoverageRecord
-from repro.perf.frontier import TABLE_SCHEMA, FrontierPolicy
 from repro.runner.evaluate import UnitOutcome
 from repro.runner.retry import (
     DEFAULT_UNIT_POLICY,
@@ -66,9 +62,41 @@ from repro.runner.retry import (
 from repro.runner.units import WorkUnit
 
 __all__ = [
+    "TABLE_SCHEMA",
     "BatchEvaluator",
+    "BatchPolicy",
     "BatchStats",
 ]
+
+#: Schema tag of cached group-table payloads.
+TABLE_SCHEMA = "repro.frontier-table/1"
+
+
+@dataclass(frozen=True)
+class BatchPolicy:
+    """Cross-check knobs of the batch fast path.
+
+    Attributes:
+        crosscheck_fraction: Fraction of each group's batch-answered
+            (site, R) cells re-evaluated through ``fails_condition`` as
+            a consistency guard; a disagreeing site is demoted to exact
+            evaluation.  One ``evaluate_batch`` call answers every row
+            from a single shared codepath, so a lying implementation is
+            wrong in a correlated, class-wide way that a sparse sample
+            still catches (the scalar-oracle tests guard the kernel
+            itself).  0 trusts the hook outright; raise it (up to 1.0)
+            when evaluating an untrusted third-party hook.  Cached
+            tables are always trusted: their key proves they were
+            derived -- and cross-checked -- under identical inputs.
+        crosscheck_seed: Seed of the deterministic cell sample.
+    """
+
+    crosscheck_fraction: float = 0.01
+    crosscheck_seed: int = 20050806
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.crosscheck_fraction <= 1.0:
+            raise ValueError("crosscheck_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -194,13 +222,10 @@ class BatchEvaluator:
             sweep so cached tables are content-addressed identically
             regardless of checkpoint/cache state.
         retry: Per-site retry policy (shared with the exact path).
-        policy: Cross-check knobs, shared with the frontier solver
-            (:class:`~repro.perf.frontier.FrontierPolicy`).
+        policy: Cross-check knobs (:class:`BatchPolicy`).
         cache: Optional :class:`~repro.perf.cache.EvaluationCache`;
             derived group tables are stored/served under
-            :func:`~repro.perf.cache.frontier_cache_key` -- the same
-            key space as frontier tables, which hold identical
-            decision rows for identical inputs.
+            :func:`~repro.perf.cache.frontier_cache_key`.
         unit_deadline: Optional wall-clock budget (seconds) for one
             unit's scalar-fallback loop.  Group-table derivation is
             excluded: it amortises over the whole group, so charging
@@ -212,7 +237,7 @@ class BatchEvaluator:
 
     def __init__(self, campaign: Any, plan: Sequence[WorkUnit],
                  retry: RetryPolicy | None = None,
-                 policy: FrontierPolicy | None = None,
+                 policy: BatchPolicy | None = None,
                  cache: Any = None,
                  unit_deadline: float | None = None,
                  sleep: Callable[[float], None] = time.sleep,
@@ -221,7 +246,7 @@ class BatchEvaluator:
             raise ValueError("unit_deadline must be positive")
         self.campaign = campaign
         self.retry = retry if retry is not None else DEFAULT_UNIT_POLICY
-        self.policy = policy if policy is not None else FrontierPolicy()
+        self.policy = policy if policy is not None else BatchPolicy()
         self.cache = cache
         self.unit_deadline = unit_deadline
         self.sleep = sleep
@@ -286,7 +311,13 @@ class BatchEvaluator:
 
     def _cached_table(self, key: str | None, n_sites: int,
                       n_grid: int) -> list[list[bool] | None] | None:
-        """Validated decision rows from the cache, or ``None``."""
+        """Validated decision rows from the cache, or ``None``.
+
+        Any malformed payload is a cache miss, never a guess: a row
+        must be ``None`` or a list of exactly ``n_grid`` JSON booleans
+        (the string ``"false"`` is truthy and must not read as
+        detected).
+        """
         if key is None:
             return None
         payload = self.cache.get(key)
@@ -295,15 +326,12 @@ class BatchEvaluator:
         rows = payload.get("decisions")
         if not isinstance(rows, list) or len(rows) != n_sites:
             return None
-        decisions: list[list[bool] | None] = []
         for row in rows:
-            if row is None:
-                decisions.append(None)
-            elif isinstance(row, list) and len(row) == n_grid:
-                decisions.append([bool(v) for v in row])
-            else:
+            if row is not None and not (
+                    isinstance(row, list) and len(row) == n_grid
+                    and all(type(v) is bool for v in row)):
                 return None
-        return decisions
+        return list(rows)
 
     def _assemble(self, grid: list[float], index_of: dict[float, int],
                   decisions: list[Any]) -> _BatchTable:
@@ -350,9 +378,8 @@ class BatchEvaluator:
             "cached": False,
         })
         if cache_key is not None:
-            # Live rows may be numpy views; the cached artefact is the
-            # same plain-list payload frontier tables use, so both
-            # strategies serve each other's tables.
+            # Live rows may be numpy views; the cached artefact is a
+            # plain-list JSON payload.
             self.cache.put(cache_key, {
                 "schema": TABLE_SCHEMA,
                 "decisions": [
@@ -413,11 +440,11 @@ class BatchEvaluator:
         Mutates ``decisions`` in place: any site whose batch row
         disagrees with an exact evaluation -- or whose check exhausts
         its retries -- is set to ``None`` (exact per-unit fallback).
-        The sample is drawn with the same seed derivation as the
-        frontier solver's, so identical policies check identical
-        cells.
+        The sample is a pure function of the policy and the group
+        (kind, condition, grid size), so identical policies check
+        identical cells.
         """
-        fraction = self.policy.batch_crosscheck_fraction
+        fraction = self.policy.crosscheck_fraction
         if fraction <= 0.0 or not grid:
             return
         decided = [i for i, row in enumerate(decisions) if row is not None]

@@ -56,7 +56,7 @@ VERSION = 1
 #: never collide with keys minted by an older layout.
 KEY_SCHEMA = "repro.evaluation-cache-key/1"
 
-#: Schema tag of frontier group-table keys (same collision rule).
+#: Schema tag of group-table keys (same collision rule).
 FRONTIER_KEY_SCHEMA = "repro.frontier-table-key/1"
 
 
@@ -90,15 +90,17 @@ def unit_cache_key(behavior_doc: Any, population_doc: Any,
 
 def frontier_cache_key(behavior_doc: Any, population_doc: Any,
                        resistances: Any, condition: Any) -> str:
-    """Content-addressed key of one frontier group table.
+    """Content-addressed key of one batch group table.
 
     Keys the *derived detection rows* of a whole (kind, condition)
-    sweep group (:mod:`repro.perf.frontier`) rather than one unit's
-    record, so a repeated frontier campaign skips even the threshold
-    pass.  The full resistance grid is part of the key: tables derived
-    for different grids are different artefacts even when model and
-    population coincide.  Unit payloads and group tables share one
-    cache file; their schema tags keep the key spaces disjoint.
+    sweep group (:mod:`repro.perf.batch`) rather than one unit's
+    record, so a repeated batch campaign skips even the hook call and
+    its cross-check.  The full resistance grid is part of the key:
+    tables derived for different grids are different artefacts even
+    when model and population coincide.  Unit payloads and group
+    tables share one cache file; their schema tags keep the key spaces
+    disjoint.  The function and schema names predate the batch
+    evaluator and are kept so existing cache files stay addressable.
 
     Args:
         behavior_doc: :func:`repro.perf.fingerprint.behavior_fingerprint`
@@ -227,6 +229,11 @@ class EvaluationCache:
         entries = body.get("entries")
         if not isinstance(entries, dict):
             raise EnvelopeError("cache body has no 'entries' mapping")
+        for key, value in entries.items():
+            if not isinstance(value, dict):
+                raise EnvelopeError(
+                    f"cache entry {key!r} is a {type(value).__name__}, "
+                    "not an object")
         cache = cls()
         cache.entries = {str(k): dict(v) for k, v in entries.items()}
         return cache

@@ -6,15 +6,17 @@ byte-identical (canonical JSON of the shard-payload form) before any
 number is reported:
 
 * **streaming** -- a full :class:`~repro.experiment.StreamingExperiment`
-  run at the configured device count (10^6 by default), timed serially:
-  the headline ``devices_per_sec`` figure;
+  run at the configured device count (10^6 by default), timed serially
+  (fastest of :data:`TIMING_REPEATS` warmed runs): the headline
+  ``devices_per_sec`` figure;
 * **memory** -- ``tracemalloc`` peaks of two streaming runs that differ
   only in device count: the O(classes) reduce means the peak must be a
   function of the shard/block shape, not of N (``memory_independent``);
 * **legacy** -- the original materialise-the-whole-lot path
   (:meth:`PopulationGenerator.generate` +
   :meth:`StressClassifier.classify`) timed at an equal, smaller N
-  against the streaming path: ``speedup`` (floor: 5x);
+  against the streaming path, fastest run of each: ``speedup``
+  (floor: 5x);
 * **legacy_identical** -- ``scheme="legacy"`` streaming folds the exact
   single-stream draw order, so its accumulator payload must equal
   :meth:`ExperimentAccumulator.from_experiment` of the legacy result;
@@ -57,6 +59,12 @@ MIN_LEGACY_SPEEDUP = 5.0
 #: shard/block shape, so their per-shard working sets are identical and
 #: only the accumulator (bounded by the class lattice) differs.
 MAX_MEMORY_RATIO = 1.25
+
+#: Every timed run is repeated this many times on fresh, warmed engines
+#: and the fastest run is kept: a scheduler stall on a loaded host
+#: lengthens one run, not all of them, so the minimum is the figure the
+#: code earns.
+TIMING_REPEATS = 5
 
 
 @dataclass(frozen=True)
@@ -145,11 +153,21 @@ def _warm(engine: StreamingExperiment) -> None:
 
 
 def _bench_streaming(config: ExperimentBenchConfig) -> dict[str, Any]:
-    """Time the headline serial streaming run: devices/sec."""
-    runner = StreamingRunner(_engine(config, config.devices))
-    started = time.perf_counter()
-    result = runner.run()
-    seconds = time.perf_counter() - started
+    """Time the headline serial streaming run: devices/sec.
+
+    Each of the :data:`TIMING_REPEATS` runs gets a fresh engine, warmed
+    before the clock starts (see :func:`_warm`), so the figure is
+    streaming throughput, not one-off setup.
+    """
+    timed = []
+    for _ in range(TIMING_REPEATS):
+        engine = _engine(config, config.devices)
+        _warm(engine)
+        runner = StreamingRunner(engine)
+        started = time.perf_counter()
+        result = runner.run()
+        timed.append((time.perf_counter() - started, result))
+    seconds, result = min(timed, key=lambda pair: pair[0])
     acc = result.accumulator
     return {
         "devices": acc.devices,
@@ -207,26 +225,33 @@ def _bench_legacy(config: ExperimentBenchConfig) -> dict[str, Any]:
     extraction) before their clocks start: those are shared one-off
     setup costs, identical on both sides, and at the small equal-N
     this comparison runs at they would otherwise swamp the per-device
-    evaluation costs the speedup figure exists to measure.
+    evaluation costs the speedup figure exists to measure.  The two
+    sides alternate for :data:`TIMING_REPEATS` rounds and each keeps
+    its fastest run, so a stall or a CPU-speed change on a loaded host
+    hits both sides alike instead of skewing the ratio.
     """
     n = config.legacy_devices
-    legacy_engine = _engine(config, n, scheme="legacy")
-    generator = legacy_engine.generator
-    classifier = legacy_engine.classifier
-    _warm(legacy_engine)
-    started = time.perf_counter()
-    chips = generator.generate()
-    legacy_result = classifier.classify(chips)
-    legacy_seconds = time.perf_counter() - started
+    legacy_times, streaming_times = [], []
+    for _ in range(TIMING_REPEATS):
+        legacy_engine = _engine(config, n, scheme="legacy")
+        generator = legacy_engine.generator
+        classifier = legacy_engine.classifier
+        _warm(legacy_engine)
+        started = time.perf_counter()
+        chips = generator.generate()
+        legacy_result = classifier.classify(chips)
+        legacy_times.append(time.perf_counter() - started)
+
+        streaming_engine = _engine(config, n)
+        _warm(streaming_engine)
+        runner = StreamingRunner(streaming_engine)
+        started = time.perf_counter()
+        runner.run()
+        streaming_times.append(time.perf_counter() - started)
+    legacy_seconds = min(legacy_times)
+    streaming_seconds = min(streaming_times)
     legacy_payload = ExperimentAccumulator.from_experiment(
         legacy_result).as_payload()
-
-    streaming_engine = _engine(config, n)
-    _warm(streaming_engine)
-    runner = StreamingRunner(streaming_engine)
-    started = time.perf_counter()
-    runner.run()
-    streaming_seconds = time.perf_counter() - started
 
     identity_payload = _payload(config, n, scheme="legacy")
     legacy_identical = (canonical_json(identity_payload)

@@ -1,14 +1,14 @@
-"""Frontier benchmark: invocation reduction measured, not asserted.
+"""Fast-path benchmark: invocation reduction measured, not asserted.
 
 Produces the ``BENCH_frontier.json`` artefact documented in
-``docs/performance.md``.  Two comparisons, both verified byte-identical
-on every run before any number is reported:
+``docs/performance.md`` (the file and module names predate the batch
+evaluator).  Two comparisons, both verified byte-identical on every run
+before any number is reported:
 
 * **campaign** -- the paper's Table-1 bridge sweep (4 resistances x
   the 5 production stress conditions) evaluated ``strategy="exact"``
-  vs ``strategy="frontier"`` (:mod:`repro.perf.frontier`) vs
-  ``strategy="batch"`` (:mod:`repro.perf.batch`), with the behaviour
-  model wrapped in a
+  vs ``strategy="batch"`` (:mod:`repro.perf.batch`), with the
+  behaviour model wrapped in a
   :class:`~repro.perf.counting.CountingBehaviorModel` so the headline
   figure is a deterministic call count, not a timing;
 * **shmoo** -- a paper-sized (Vdd, period) grid (Figures 3/4: 15
@@ -53,7 +53,7 @@ from repro.tester.shmoo import (
 )
 
 #: Schema tag of the emitted BENCH_frontier.json document.
-FRONTIER_BENCH_SCHEMA = "repro.bench-frontier/2"
+FRONTIER_BENCH_SCHEMA = "repro.bench-frontier/3"
 
 #: Acceptance floors enforced by the validator.
 MIN_CAMPAIGN_REDUCTION = 5.0
@@ -63,7 +63,7 @@ MIN_BATCH_WALLCLOCK = 5.0
 
 @dataclass(frozen=True)
 class FrontierBenchConfig:
-    """Shape of the frontier benchmark.
+    """Shape of the fast-path benchmark.
 
     Attributes:
         rows, columns, bits: Memory geometry of the campaign half.
@@ -117,10 +117,10 @@ def _records_blob(records: list[Any]) -> str:
 
 
 def _bench_campaign(config: FrontierBenchConfig) -> dict[str, Any]:
-    """Time + count the Table-1 sweep exact vs frontier vs batch.
+    """Time + count the Table-1 sweep exact vs batch.
 
-    The site population is sampled *before* the clock starts: all
-    three strategies share the identical critical-area extraction, and
+    The site population is sampled *before* the clock starts: both
+    strategies share the identical critical-area extraction, and
     on short configurations it would otherwise dominate every row and
     flatten the very evaluation-cost differences the benchmark exists
     to measure (the pre-PR-8 artefact reported a 1.1x "speedup" for a
@@ -129,7 +129,7 @@ def _bench_campaign(config: FrontierBenchConfig) -> dict[str, Any]:
     specs = _campaign_specs()
     rows: dict[str, Any] = {}
     results: dict[str, str] = {}
-    for strategy in ("exact", "frontier", "batch"):
+    for strategy in ("exact", "batch"):
         campaign = _counted_campaign(config)
         campaign.bridge_population()  # warm extraction outside the clock
         runner = CampaignRunner(campaign, strategy=strategy)
@@ -142,23 +142,16 @@ def _bench_campaign(config: FrontierBenchConfig) -> dict[str, Any]:
             "units": len(result.records),
         }
         results[strategy] = _records_blob(result.records)
-        if result.frontier_stats is not None:
-            rows[strategy]["stats"] = result.frontier_stats
         if result.batch_stats is not None:
             rows[strategy]["stats"] = result.batch_stats
-        if strategy != "exact" and results[strategy] != results["exact"]:
-            raise RuntimeError(
-                f"{strategy} records diverged from exact -- the "
-                "equivalence contract is broken")
-    exact_calls = rows["exact"]["model_invocations"]
-    frontier_calls = max(1, rows["frontier"]["model_invocations"])
-    rows["invocation_reduction"] = round(exact_calls / frontier_calls, 2)
-    rows["invocation_reduction_batch"] = round(
-        exact_calls / max(1, rows["batch"]["model_invocations"]), 2)
+    if results["batch"] != results["exact"]:
+        raise RuntimeError(
+            "batch records diverged from exact -- the equivalence "
+            "contract is broken")
+    rows["invocation_reduction"] = round(
+        rows["exact"]["model_invocations"]
+        / max(1, rows["batch"]["model_invocations"]), 2)
     rows["speedup"] = (
-        round(rows["exact"]["seconds"] / rows["frontier"]["seconds"], 3)
-        if rows["frontier"]["seconds"] else None)
-    rows["speedup_batch"] = (
         round(rows["exact"]["seconds"] / rows["batch"]["seconds"], 3)
         if rows["batch"]["seconds"] else None)
     rows["records_match"] = True
@@ -208,7 +201,7 @@ def _bench_shmoo(config: FrontierBenchConfig) -> dict[str, Any]:
 
 def run_frontier_benchmark(config: FrontierBenchConfig | None = None,
                            ) -> dict[str, Any]:
-    """Run both frontier benchmarks and assemble the document.
+    """Run both fast-path benchmarks and assemble the document.
 
     Args:
         config: Benchmark shape (defaults to
@@ -231,22 +224,23 @@ def run_frontier_benchmark(config: FrontierBenchConfig | None = None,
         "campaign": campaign,
         "shmoo": shmoo,
         # Headline figures: deterministic call-count reductions (the
-        # frontier/shmoo wall-clock speedups are informational --
-        # timings vary with the host, invocation counts do not) plus
-        # the one enforced timing: the batch kernel's wall-clock win
-        # over exact, which is the whole point of vectorising and
-        # which call counts cannot see.
+        # shmoo wall-clock speedup is informational -- timings vary
+        # with the host, invocation counts do not) plus the one
+        # enforced timing: the batch kernel's wall-clock win over
+        # exact, which is the whole point of vectorising and which
+        # call counts cannot see.
         "invocation_reduction_campaign": campaign["invocation_reduction"],
         "invocation_reduction_shmoo": shmoo["invocation_reduction"],
-        "wallclock_speedup_batch": campaign["speedup_batch"],
+        "wallclock_speedup_batch": campaign["speedup"],
     }
 
 
 def validate_frontier_bench(doc: Any) -> list[str]:
     """Validate a BENCH_frontier.json document's schema and floors.
 
-    Beyond shape, enforces the acceptance floors: the campaign must
-    show at least a 5x model-invocation reduction, the shmoo at least
+    Beyond shape, enforces the acceptance floors: the batch campaign
+    must show at least a 5x model-invocation reduction over exact, the
+    shmoo at least
     a 3x tester-invocation reduction, the batch strategy at least a 5x
     wall-clock speedup over exact, and every equivalence check must
     have passed.
@@ -268,7 +262,7 @@ def validate_frontier_bench(doc: Any) -> list[str]:
     if not isinstance(campaign, dict):
         problems.append("missing or non-object 'campaign'")
     else:
-        for row in ("exact", "frontier", "batch"):
+        for row in ("exact", "batch"):
             inner = campaign.get(row)
             if not isinstance(inner, dict) or not isinstance(
                     inner.get("model_invocations"), int):

@@ -104,9 +104,6 @@ class CampaignResult:
         retry_stats: Site-evaluation retry counters for this run.
         cache_stats: Hit/miss statistics of the evaluation cache
             (``None`` when no cache was attached).
-        frontier_stats: Counters of the frontier sweep solver
-            (:class:`~repro.perf.frontier.FrontierStats` as a dict;
-            ``None`` unless ``strategy="frontier"`` evaluated units).
         batch_stats: Counters of the vectorised batch evaluator
             (:class:`~repro.perf.batch.BatchStats` as a dict;
             ``None`` unless ``strategy="batch"`` evaluated units).
@@ -128,7 +125,6 @@ class CampaignResult:
     cached_units: int = 0
     retry_stats: RetryStats = field(default_factory=RetryStats)
     cache_stats: dict[str, Any] | None = None
-    frontier_stats: dict[str, Any] | None = None
     batch_stats: dict[str, Any] | None = None
     supervisor_stats: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
@@ -212,22 +208,17 @@ class CampaignRunner:
         fault_hook: Chaos probe threaded into checkpoint/cache I/O
             (typically ``FaultInjector.check``).
         strategy: Unit-evaluation strategy.  ``"exact"`` (default)
-            evaluates every (site, R) cell through the behaviour model;
-            ``"frontier"`` derives per-site detection thresholds once
-            per (kind, condition) group and answers the sweep by
-            comparison (:mod:`repro.perf.frontier`), with guarded
-            per-site fallback to exact -- records are byte-identical
-            either way.  ``"batch"`` answers each (kind, condition)
-            group's full site x R grid in one vectorised
+            evaluates every (site, R) cell through the behaviour model
+            and is the oracle; ``"batch"`` answers each (kind,
+            condition) group's full site x R grid in one vectorised
             ``evaluate_batch`` call (:mod:`repro.perf.batch`), guarded
-            by the same cross-check machinery, with whole-group scalar
-            fallback for models without the hook -- records are again
-            byte-identical.  Frontier and batch evaluation are serial
-            by design (the group tables amortise across units, which a
-            process pool would duplicate per worker), so both reject
-            ``workers > 1``.
-        frontier_policy: Cross-check knobs of the frontier and batch
-            strategies (:class:`~repro.perf.frontier.FrontierPolicy`).
+            by a seeded cross-check, with whole-group scalar fallback
+            for models without the hook -- records are byte-identical
+            either way.  Batch evaluation is serial by design (the
+            group tables amortise across units, which a process pool
+            would duplicate per worker), so it rejects ``workers > 1``.
+        batch_policy: Cross-check knobs of the batch strategy
+            (:class:`~repro.perf.batch.BatchPolicy`).
         journal: Observability sink (:mod:`repro.obs`).  ``None``
             (default) disables it entirely -- the hot path then makes
             zero event-bus invocations.  A path writes a JSONL run
@@ -256,7 +247,7 @@ class CampaignRunner:
                  meta: dict[str, Any] | None = None,
                  fault_hook: Callable[[str], None] | None = None,
                  strategy: str = "exact",
-                 frontier_policy: Any = None,
+                 batch_policy: Any = None,
                  journal: Any = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -270,11 +261,10 @@ class CampaignRunner:
             raise ValueError("max_pool_rebuilds must be >= 0")
         if chunk_deadline_factor <= 0:
             raise ValueError("chunk_deadline_factor must be positive")
-        if strategy not in ("exact", "frontier", "batch"):
+        if strategy not in ("exact", "batch"):
             raise ValueError(
-                f"strategy must be 'exact', 'frontier' or 'batch', "
-                f"got {strategy!r}")
-        if strategy in ("frontier", "batch") and workers > 1:
+                f"strategy must be 'exact' or 'batch', got {strategy!r}")
+        if strategy == "batch" and workers > 1:
             raise ValueError(
                 f"strategy={strategy!r} is serial (its group tables "
                 "amortise across units); use workers=1, or "
@@ -294,11 +284,10 @@ class CampaignRunner:
         self.extra_meta = dict(meta or {})
         self.fault_hook = fault_hook
         self.strategy = strategy
-        self.frontier_policy = frontier_policy
+        self.batch_policy = batch_policy
         self.journal = journal
         self.sleep = sleep
         self.clock = clock
-        self._frontier_evaluator: Any = None
         self._batch_evaluator: Any = None
         self._supervisor: Any = None
 
@@ -406,34 +395,24 @@ class CampaignRunner:
                   pending: Sequence[WorkUnit],
                   bus: Any = None, metrics: Any = None,
                   ) -> Iterator[UnitOutcome]:
-        """Evaluate pending units lazily: exact serial, frontier, or pool.
+        """Evaluate pending units lazily: exact serial, batch, or pool.
 
         Args:
-            units: The full plan (the frontier evaluator derives its
-                group grids from it, so table cache keys do not depend
-                on checkpoint/cache state).
+            units: The full plan (the batch evaluator derives its group
+                grids from it, so table cache keys do not depend on
+                checkpoint/cache state).
             pending: The subset actually needing evaluation.
             bus: Event bus handed to the pool supervisor so its
                 ``pool.*`` recovery events land in the journal
                 (``None`` when observability is off).
             metrics: Metrics registry fed alongside the bus.
         """
-        if self.strategy == "frontier":
-            from repro.perf.frontier import FrontierUnitEvaluator
-
-            evaluator = FrontierUnitEvaluator(
-                self.campaign, plan=units, retry=self.retry,
-                policy=self.frontier_policy, cache=self.cache,
-                unit_deadline=self.unit_deadline,
-                sleep=self.sleep, clock=self.clock)
-            self._frontier_evaluator = evaluator
-            return (evaluator.evaluate(unit) for unit in pending)
         if self.strategy == "batch":
             from repro.perf.batch import BatchEvaluator
 
             evaluator = BatchEvaluator(
                 self.campaign, plan=units, retry=self.retry,
-                policy=self.frontier_policy, cache=self.cache,
+                policy=self.batch_policy, cache=self.cache,
                 unit_deadline=self.unit_deadline,
                 sleep=self.sleep, clock=self.clock)
             self._batch_evaluator = evaluator
@@ -580,8 +559,6 @@ class CampaignRunner:
         self._save_cache()
         if self.cache is not None:
             result.cache_stats = self.cache.stats()
-        if self._frontier_evaluator is not None:
-            result.frontier_stats = self._frontier_evaluator.stats.as_dict()
         if self._batch_evaluator is not None:
             result.batch_stats = self._batch_evaluator.stats.as_dict()
         if self._supervisor is not None:
@@ -643,13 +620,7 @@ class CampaignRunner:
 
     def _emit_run_done(self, bus: Any, metrics: Any,
                        result: CampaignResult) -> None:
-        """Emit the frontier/batch ledgers and the run's terminal event."""
-        if result.frontier_stats is not None:
-            for group in result.frontier_stats["group_log"]:
-                bus.emit("frontier.group", **group)
-            for d in result.frontier_stats["demotions"]:
-                bus.emit("frontier.demote", **d)
-                metrics.inc(f"frontier.demote.{d['reason']}")
+        """Emit the batch ledgers and the run's terminal event."""
         if result.batch_stats is not None:
             for group in result.batch_stats["group_log"]:
                 bus.emit("batch.group", **group)

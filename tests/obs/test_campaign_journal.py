@@ -7,7 +7,7 @@ The acceptance claims of the observability layer, end to end:
 * a journal is a pure function of what the campaign computed: a
   4-worker run writes bytes identical to a serial run;
 * nothing is swallowed -- every quarantine, retry, corrupt-cache
-  discard and frontier demotion appears as an event, and
+  discard and batch demotion appears as an event, and
   ``build_report`` reproduces the runner's own statistics from the
   journal alone.
 """
@@ -18,10 +18,9 @@ import json
 import pytest
 
 from repro.circuit.technology import CMOS018
-from repro.defects.behavior import (
-    DefectBehaviorModel,
-    ResistanceFrontier,
-)
+import numpy as np
+
+from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
 from repro.ifa.flow import IfaCampaign
 from repro.march.library import TEST_11N
@@ -29,7 +28,7 @@ from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import Sram
 from repro.obs import EventBus, build_report, read_journal
 from repro.perf.counting import CountingEventBus
-from repro.perf.frontier import FrontierPolicy
+from repro.perf.batch import BatchPolicy
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import (
     ChaosBehaviorModel,
@@ -240,8 +239,9 @@ class TestCacheEvents:
         assert "JSON" in discard.data["error"]
 
 
-class LyingFrontierModel:
-    """Declares every site detected at every R (a lie, crosschecked)."""
+class LyingBatchModel:
+    """Batch hook claiming every site detected at every R (a lie,
+    cross-checked)."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -249,29 +249,31 @@ class LyingFrontierModel:
     def fails_condition(self, defect, condition):
         return self._inner.fails_condition(defect, condition)
 
-    def resistance_frontier(self, defect, condition):
-        return ResistanceFrontier("detected_below", lambda r: True)
+    def evaluate_batch(self, sites, resistances, condition):
+        return np.ones((len(sites), len(resistances)), dtype=bool)
 
 
-class TestFrontierEvents:
+class TestBatchEvents:
     def test_groups_and_lying_model_demotions(self, tmp_path):
         campaign = make_campaign()
-        campaign.behavior = LyingFrontierModel(campaign.behavior)
-        path = tmp_path / "frontier.jsonl"
+        campaign.behavior = LyingBatchModel(campaign.behavior)
+        path = tmp_path / "batch.jsonl"
         result = CampaignRunner(
-            campaign, strategy="frontier", journal=path,
-            frontier_policy=FrontierPolicy(crosscheck_fraction=1.0),
+            campaign, strategy="batch", journal=path,
+            batch_policy=BatchPolicy(crosscheck_fraction=1.0),
         ).run([bridge_spec()])
-        assert result.frontier_stats["demoted_sites"] > 0
+        assert result.batch_stats["demoted_sites"] > 0
         meta, events = read_journal(path)
-        groups = [e for e in events if e.name == "frontier.group"]
+        groups = [e for e in events if e.name == "batch.group"]
         assert groups and all(g.data["sites"] > 0 for g in groups)
-        demotions = [e for e in events if e.name == "frontier.demote"]
+        demotions = [e for e in events if e.name == "batch.demote"]
         assert demotions
         assert {d.data["reason"] for d in demotions} == {"lying-model"}
         assert all(d.data["stage"] == "crosscheck" for d in demotions)
         report = build_report(meta, events)
-        assert len(report["frontier"]["demotions"]) == len(demotions)
+        assert len(report["batch"]["demotions"]) == len(demotions)
+        assert result.metrics["counters"]["batch.demote.lying-model"] == (
+            len(demotions))
 
 
 class TestShmooJournal:

@@ -10,27 +10,29 @@ speedup claim appears only as deterministic call-count inequalities.
 """
 
 import dataclasses
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro.circuit.technology import CMOS018
 from repro.defects.behavior import DefectBehaviorModel
-from repro.defects.models import DefectKind
+from repro.defects.models import BridgeSite, Defect, DefectKind, OpenSite
 from repro.ifa.flow import TABLE1_RESISTANCES
-from repro.perf.batch import BatchEvaluator
-from repro.perf.cache import EvaluationCache
+from repro.perf.batch import TABLE_SCHEMA, BatchEvaluator, BatchPolicy
+from repro.perf.cache import EvaluationCache, frontier_cache_key
 from repro.perf.fingerprint import (
     behavior_fingerprint,
+    fingerprint_document,
     population_fingerprint,
 )
 from repro.runner.atomic import canonical_json
-from repro.perf.frontier import FrontierPolicy, FrontierUnitEvaluator
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import ChaosBehaviorModel, FaultInjector, InjectedCrash
 from repro.runner.units import plan_units
-from repro.stress import production_conditions
+from repro.stress import StressCondition, production_conditions
 
 
 def all_conditions():
@@ -84,8 +86,91 @@ class RaisingBatchModel(OpaqueModel):
         raise RuntimeError("vector unit on fire")
 
 
+def float_bits(value):
+    """IEEE-754 bit pattern of a positive double (ordered like floats)."""
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def bits_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def gate_sites():
+    """Every site class, built directly, at three strengths x both
+    polarities."""
+    classes = ([(DefectKind.BRIDGE, s) for s in BridgeSite]
+               + [(DefectKind.OPEN, s) for s in OpenSite])
+    return [Defect(kind, site, 1.0, strength=strength, polarity=polarity)
+            for kind, site in classes
+            for strength in (0.3, 1.0, 2.7)
+            for polarity in (-1, 1)]
+
+
+def gate_conditions():
+    """The production suite plus a cold VLV and a hot Vmax corner."""
+    conds = production_conditions(CMOS018)
+    return (tuple(conds.values())
+            + (StressCondition("VLV-cold", CMOS018.vdd_vlv,
+                               conds["VLV"].period, temperature=-40.0),
+               StressCondition("Vmax-hot", CMOS018.vdd_max,
+                               conds["Vmax"].period, temperature=125.0)))
+
+
+def exact_transition(model, site, condition, lo, hi):
+    """Bit pattern of the first float in (lo, hi] whose scalar answer
+    differs from the answer at ``lo`` (lo and hi must disagree)."""
+    def scalar(bits):
+        return model.fails_condition(
+            site.with_resistance(bits_float(bits)), condition)
+
+    lo_bits, hi_bits = float_bits(lo), float_bits(hi)
+    at_lo = scalar(lo_bits)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if scalar(mid) == at_lo:
+            lo_bits = mid
+        else:
+            hi_bits = mid
+    return hi_bits
+
+
 class TestBatchHookOracle:
     """evaluate_batch agrees with fails_condition, cell by cell."""
+
+    def test_full_grid_and_every_transition(self):
+        """The differential gate: every site class x strength x
+        polarity, seven conditions, a dense 1 Ohm .. 1 GOhm grid plus
+        each row's exact float transition +-3 ulps."""
+        model = DefectBehaviorModel(CMOS018)
+        sites = gate_sites()
+        grid = [float(r) for r in np.logspace(0, 9, 400)]
+        cells = transitions = 0
+        for cond in gate_conditions():
+            matrix = model.evaluate_batch(sites, grid, cond)
+            assert matrix.shape == (len(sites), len(grid))
+            for i, site in enumerate(sites):
+                row = [model.fails_condition(site.with_resistance(r), cond)
+                       for r in grid]
+                assert matrix[i].tolist() == row, f"{site} under {cond.name}"
+                cells += len(grid)
+                for j in range(len(grid) - 1):
+                    if row[j] == row[j + 1]:
+                        continue
+                    edge = exact_transition(model, site, cond, grid[j],
+                                            grid[j + 1])
+                    probes = [bits_float(b)
+                              for b in range(edge - 3, edge + 4)]
+                    exact = [model.fails_condition(
+                        site.with_resistance(r), cond) for r in probes]
+                    batch = model.evaluate_batch([site], probes, cond)
+                    assert batch[0].tolist() == exact, (
+                        f"{site} under {cond.name} near R={probes[3]!r}")
+                    assert exact[2] != exact[3]
+                    cells += len(probes)
+                    transitions += 1
+        # The gate must actually reach the boundaries it exists for.
+        assert transitions >= 300
+        assert cells > 200_000
 
     @pytest.mark.parametrize("kind", [DefectKind.BRIDGE, DefectKind.OPEN])
     def test_matches_exact_model_everywhere(self, counting_campaign, kind):
@@ -185,9 +270,9 @@ class TestFallbacks:
         assert reasons == {"bad-shape"}
 
     def test_lying_hook_demoted_by_full_crosscheck(self, counting_campaign):
-        policy = FrontierPolicy(batch_crosscheck_fraction=1.0)
+        policy = BatchPolicy(crosscheck_fraction=1.0)
         stats = self.run_pair(counting_campaign, LyingBatchModel,
-                              frontier_policy=policy)
+                              batch_policy=policy)
         # Checking every cell catches every lying site; the records
         # above were still byte-identical because demoted sites rerun
         # exactly per unit.
@@ -312,38 +397,76 @@ class TestCacheInterop:
         assert records_bytes(exact.records) == records_bytes(batch.records)
 
     def test_frontier_table_serves_batch_and_back(self, counting_campaign):
-        """Both strategies read and write the same group-table rows."""
+        """Group tables cached before the batch evaluator owned them --
+        key schema ``repro.frontier-table-key/1``, payload schema
+        ``repro.frontier-table/1`` -- must still be served, and a batch
+        run writes those very entries back."""
+        campaign = counting_campaign()
+        exact = CampaignRunner(counting_campaign()).run([table1_spec()])
+        grid = sorted(TABLE1_RESISTANCES)
+        population = campaign.bridge_population()
+        cache = EvaluationCache()
+        for cond in all_conditions():
+            doc = {
+                "schema": "repro.frontier-table-key/1",
+                "behavior": behavior_fingerprint(campaign.behavior),
+                "population": population_fingerprint(
+                    campaign, DefectKind.BRIDGE),
+                "resistances": [repr(float(r)) for r in grid],
+                "condition": fingerprint_document(cond, "condition"),
+            }
+            key = hashlib.sha256(
+                canonical_json(doc).encode("utf-8")).hexdigest()
+            assert key == frontier_cache_key(
+                doc["behavior"], doc["population"], grid, cond)
+            cache.put(key, {
+                "schema": "repro.frontier-table/1",
+                "decisions": [
+                    [campaign.behavior.inner.fails_condition(
+                        site.with_resistance(r), cond) for r in grid]
+                    for site in population],
+            })
+        assert TABLE_SCHEMA == "repro.frontier-table/1"
+        calls_before = campaign.behavior.calls
+        batch = CampaignRunner(campaign, strategy="batch",
+                               cache=cache).run([table1_spec()])
+        assert batch.batch_stats["cached_groups"] == len(all_conditions())
+        assert batch.batch_stats["groups"] == 0
+        assert campaign.behavior.calls == calls_before
+        assert records_bytes(batch.records) == records_bytes(exact.records)
+
+        # ... and back: a batch run over an empty cache writes the same
+        # keys and payloads, so either side's cache file serves the other.
+        written = EvaluationCache()
+        CampaignRunner(counting_campaign(), strategy="batch",
+                       cache=written).run([table1_spec()])
+        def tables(c):
+            return {k: v for k, v in c.entries.items()
+                    if v.get("schema") == TABLE_SCHEMA}
+
+        assert len(tables(cache)) == len(all_conditions())
+        assert canonical_json(tables(written)) == canonical_json(
+            tables(cache))
+
+    def test_non_boolean_table_cell_is_a_cache_miss(self,
+                                                    counting_campaign):
+        """A cached cell must be a JSON boolean: the string "false" is
+        truthy and must not read as detected."""
         cache = EvaluationCache()
         plan = self.plan()
-        frontier_campaign = counting_campaign()
-        frontier = FrontierUnitEvaluator(frontier_campaign, plan,
-                                         cache=cache)
-        frontier_records = self.evaluate_all(frontier)
-        assert frontier.stats.groups > 0
-
-        batch_campaign = counting_campaign()
-        batch = BatchEvaluator(batch_campaign, plan, cache=cache)
-        batch_records = self.evaluate_all(batch)
-        assert batch.stats.cached_groups == frontier.stats.groups
-        assert batch.stats.groups == 0
-        # Cached tables are trusted: zero scalar invocations at all.
-        assert batch_campaign.behavior.calls == 0
-        assert records_bytes(frontier_records) == records_bytes(
-            batch_records)
-
-        # ... and the reverse direction: a batch-derived table serves
-        # a later frontier evaluator.
-        fresh_cache = EvaluationCache()
-        warm = BatchEvaluator(counting_campaign(), plan, cache=fresh_cache)
-        self.evaluate_all(warm)
-        served_campaign = counting_campaign()
-        served = FrontierUnitEvaluator(served_campaign, plan,
-                                       cache=fresh_cache)
+        warm = BatchEvaluator(counting_campaign(), plan, cache=cache)
+        warm_records = self.evaluate_all(warm)
+        for payload in cache.entries.values():
+            if payload.get("schema") == TABLE_SCHEMA:
+                payload["decisions"][0] = [
+                    json.dumps(v) for v in payload["decisions"][0]]
+        assert any(v == "false" for p in cache.entries.values()
+                   for v in p["decisions"][0])
+        served = BatchEvaluator(counting_campaign(), plan, cache=cache)
         served_records = self.evaluate_all(served)
-        assert served.stats.cached_groups == warm.stats.groups
-        assert served_campaign.behavior.calls == 0
-        assert records_bytes(served_records) == records_bytes(
-            batch_records)
+        assert served.stats.cached_groups == 0
+        assert served.stats.groups == len(all_conditions())
+        assert records_bytes(served_records) == records_bytes(warm_records)
 
 
 class TestFingerprintStability:
@@ -372,12 +495,18 @@ class TestGuards:
                            workers=4)
 
     def test_unknown_strategy_rejected(self, counting_campaign):
-        with pytest.raises(ValueError, match="strategy"):
-            CampaignRunner(counting_campaign(), strategy="turbo")
+        for strategy in ("turbo", "frontier"):
+            with pytest.raises(ValueError,
+                               match="strategy must be 'exact' or "
+                                     "'batch'"):
+                CampaignRunner(counting_campaign(), strategy=strategy)
 
     def test_policy_validates_batch_fraction(self):
-        with pytest.raises(ValueError, match="batch_crosscheck_fraction"):
-            FrontierPolicy(batch_crosscheck_fraction=1.5)
+        for fraction in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="crosscheck_fraction"):
+                BatchPolicy(crosscheck_fraction=fraction)
+        assert BatchPolicy() == BatchPolicy(crosscheck_fraction=0.01,
+                                            crosscheck_seed=20050806)
 
     def test_unit_deadline_must_be_positive(self, counting_campaign):
         with pytest.raises(ValueError, match="unit_deadline"):

@@ -10,12 +10,18 @@ from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
 from repro.ifa.flow import IfaCampaign
 from repro.memory.geometry import MemoryGeometry
-from repro.perf.cache import EvaluationCache, unit_cache_key
+from repro.perf.cache import (
+    SCHEMA,
+    VERSION,
+    EvaluationCache,
+    frontier_cache_key,
+    unit_cache_key,
+)
 from repro.perf.fingerprint import (
     behavior_fingerprint,
     population_fingerprint,
 )
-from repro.runner.atomic import temp_path_for
+from repro.runner.atomic import atomic_write_envelope, temp_path_for
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.runner.chaos import ChaosBehaviorModel, FaultInjector
 from repro.runner.retry import RetryPolicy
@@ -67,6 +73,22 @@ class TestCacheKey:
         wrapped.behavior = ChaosBehaviorModel(wrapped.behavior,
                                               FaultInjector(seed=3))
         assert make_key(wrapped) != make_key(make_campaign())
+
+
+class TestFrontierCacheKey:
+    """Group-table keys (the name predates the batch evaluator)."""
+
+    def test_key_covers_grid_and_condition(self):
+        conds = tuple(production_conditions(CMOS018).values())
+        base = frontier_cache_key({"m": 1}, {"p": 1}, [1e3, 1e4], conds[0])
+        assert base == frontier_cache_key({"m": 1}, {"p": 1},
+                                          [1e3, 1e4], conds[0])
+        assert base != frontier_cache_key({"m": 1}, {"p": 1},
+                                          [1e3, 2e4], conds[0])
+        assert base != frontier_cache_key({"m": 1}, {"p": 1},
+                                          [1e3, 1e4], conds[1])
+        assert base != frontier_cache_key({"m": 2}, {"p": 1},
+                                          [1e3, 1e4], conds[0])
 
 
 class TestCacheBasics:
@@ -122,6 +144,21 @@ class TestCachePersistence:
         assert len(cache) == 0
         assert cache.discarded_corrupt
         assert cache.stats()["discarded_corrupt"] is True
+
+    @pytest.mark.parametrize("entry", [5, [1, 2], "ab"],
+                             ids=["int", "list", "str"])
+    def test_non_object_entry_discards_not_raises(self, tmp_path, entry):
+        """A validly checksummed envelope holding a non-object entry is
+        corrupt too: discarded and recorded, never a raw TypeError."""
+        path = tmp_path / "cache.json"
+        atomic_write_envelope(path, SCHEMA, VERSION,
+                              {"entries": {"k": entry}})
+        cache = EvaluationCache.load(path)
+        assert len(cache) == 0
+        assert cache.discarded_corrupt
+        (detail,) = cache.corrupt_detail
+        assert detail["error"].startswith("EnvelopeError:")
+        assert "'k'" in detail["error"]
 
     def test_recovers_from_temp_sibling(self, tmp_path):
         """Crash between fsync and rename: the .tmp sibling is valid."""

@@ -1,10 +1,14 @@
-"""Tests for repro.perf.frontier: exact-path equivalence, guarded.
+"""Tests for detection-frontier tables: the group rows behind batch.
 
-The contract under test: ``strategy="frontier"`` emits records
-byte-identical to ``strategy="exact"`` while issuing several-fold fewer
-behaviour-model invocations -- and every fallback route (no
-declaration, non-monotone closed form, lying closed form) degrades to
-the exact path rather than to wrong records.
+Detection is monotone in defect resistance: a bridge is detected below
+a resistance threshold, an open above one.  ``evaluate_batch`` derives
+one such frontier row per site for a whole (kind, condition) group, and
+the evaluation cache keeps each group's rows as a
+``repro.frontier-table/1`` payload under
+:func:`repro.perf.cache.frontier_cache_key`.  The contract under test:
+every row is a monotone frontier that agrees with the exact model, a
+cached table holds exactly the exact model's decisions, and a row the
+cross-check rejects never reaches the cache as a decision.
 """
 
 import dataclasses
@@ -14,11 +18,12 @@ import numpy as np
 import pytest
 
 from repro.circuit.technology import CMOS018
-from repro.defects.behavior import DefectBehaviorModel, ResistanceFrontier
+from repro.defects.behavior import DefectBehaviorModel
 from repro.defects.models import DefectKind
 from repro.ifa.flow import TABLE1_RESISTANCES
+from repro.perf.batch import TABLE_SCHEMA, BatchPolicy
 from repro.perf.cache import EvaluationCache, frontier_cache_key
-from repro.perf.frontier import FrontierPolicy
+from repro.perf.fingerprint import behavior_fingerprint, population_fingerprint
 from repro.runner.campaign import CampaignRunner, SweepSpec
 from repro.stress import production_conditions
 
@@ -43,8 +48,33 @@ def records_bytes(records):
                       sort_keys=True).encode()
 
 
+def population(campaign, kind):
+    return (campaign.bridge_population() if kind is DefectKind.BRIDGE
+            else campaign.open_population())
+
+
+def cached_tables(campaign, cache, spec):
+    """The cached decision rows of each condition of ``spec``."""
+    grid = sorted(set(spec.resistances))
+    tables = {}
+    for cond in spec.conditions:
+        key = frontier_cache_key(
+            behavior_fingerprint(campaign.behavior),
+            population_fingerprint(campaign, spec.kind), grid, cond)
+        payload = cache.get(key)
+        assert payload is not None and payload["schema"] == TABLE_SCHEMA
+        tables[cond] = payload["decisions"]
+    return grid, tables
+
+
+def exact_rows(campaign, kind, grid, cond):
+    model = DefectBehaviorModel(CMOS018)
+    return [[model.fails_condition(site.with_resistance(r), cond)
+             for r in grid] for site in population(campaign, kind)]
+
+
 class OpaqueModel:
-    """Delegates ``fails_condition`` only -- declares no frontier."""
+    """Delegates ``fails_condition`` only -- offers no batch hook."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -53,82 +83,60 @@ class OpaqueModel:
         return self._inner.fails_condition(defect, condition)
 
 
-class MonotonicityOnlyModel(OpaqueModel):
-    """Declares the monotone orientation but no closed-form frontier."""
-
-    def resistance_monotonicity(self, defect, condition):
-        return self._inner.resistance_monotonicity(defect, condition)
-
-
 class LyingFrontierModel(OpaqueModel):
     """Claims every site is detected at every resistance (a lie)."""
 
-    def resistance_frontier(self, defect, condition):
-        return ResistanceFrontier("detected_below", lambda r: True)
-
-
-class NonMonotoneFrontierModel(OpaqueModel):
-    """Closed form that contradicts its own declared orientation."""
-
-    def resistance_frontier(self, defect, condition):
-        return ResistanceFrontier("detected_above", lambda r: r < 5e3)
+    def evaluate_batch(self, sites, resistances, condition):
+        return np.ones((len(sites), len(resistances)), dtype=bool)
 
 
 class TestAnalyticFrontiers:
-    """The closed forms agree with the exact model, cell by cell."""
+    """Batch rows are monotone frontiers that agree with the exact
+    model, cell by cell."""
 
     @pytest.mark.parametrize("kind", [DefectKind.BRIDGE, DefectKind.OPEN])
     def test_matches_exact_model_everywhere(self, counting_campaign, kind):
         campaign = counting_campaign(n_sites=30)
         model = DefectBehaviorModel(CMOS018)
-        population = (campaign.bridge_population()
-                      if kind is DefectKind.BRIDGE
-                      else campaign.open_population())
+        sites = population(campaign, kind)
         grid = [float(r) for r in np.logspace(1, 7.5, 12)]
         for cond in all_conditions():
-            for site in population:
-                frontier = model.resistance_frontier(site, cond)
-                assert frontier is not None
-                assert frontier.orientation == (
-                    model.resistance_monotonicity(site, cond))
-                for r in grid:
-                    exact = model.fails_condition(
-                        site.with_resistance(r), cond)
-                    assert frontier.detects(r) == exact, (
-                        f"{site} at {r:g} under {cond.name}")
+            matrix = model.evaluate_batch(sites, grid, cond)
+            for site, row in zip(sites, matrix):
+                row = [bool(v) for v in row]
+                assert row == [
+                    model.fails_condition(site.with_resistance(r), cond)
+                    for r in grid], f"{site} under {cond.name}"
+                # Bridges are detected below one threshold, opens
+                # above one: at most a single transition per row.
+                assert row == sorted(
+                    row, reverse=kind is DefectKind.BRIDGE), (
+                    f"{site} under {cond.name} is not monotone in R")
 
 
 class TestEquivalence:
+    """Cached frontier tables hold exactly the exact model's answers."""
+
+    def check(self, counting_campaign, spec):
+        exact_campaign = counting_campaign()
+        exact = CampaignRunner(exact_campaign).run([spec])
+        campaign = counting_campaign()
+        cache = EvaluationCache()
+        batch = CampaignRunner(campaign, strategy="batch",
+                               cache=cache).run([spec])
+        assert records_bytes(exact.records) == records_bytes(batch.records)
+        assert exact_campaign.behavior.calls >= 5 * campaign.behavior.calls
+        grid, tables = cached_tables(campaign, cache, spec)
+        for cond, rows in tables.items():
+            assert rows == exact_rows(campaign, spec.kind, grid, cond), (
+                f"cached {spec.kind.value} table under {cond.name}")
+
     def test_table1_byte_identical_with_5x_fewer_calls(
             self, counting_campaign):
-        exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([table1_spec()])
-        frontier_campaign = counting_campaign()
-        frontier = CampaignRunner(
-            frontier_campaign, strategy="frontier").run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        # The ISSUE acceptance floor, as a call-count inequality.
-        assert exact_campaign.behavior.calls >= (
-            5 * frontier_campaign.behavior.calls)
-        stats = frontier.frontier_stats
-        assert stats is not None
-        # The vectorised hook now derives every site in one call; the
-        # per-site analytic inversion is its fallback.
-        assert stats["batch_sites"] == stats["sites"]
-        assert stats["crosscheck_mismatches"] == 0
-        assert exact.frontier_stats is None
+        self.check(counting_campaign, table1_spec())
 
     def test_opens_sweep_byte_identical(self, counting_campaign):
-        exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([opens_spec()])
-        frontier_campaign = counting_campaign()
-        frontier = CampaignRunner(
-            frontier_campaign, strategy="frontier").run([opens_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        assert exact_campaign.behavior.calls >= (
-            5 * frontier_campaign.behavior.calls)
+        self.check(counting_campaign, opens_spec())
 
 
 class TestFallbacks:
@@ -136,68 +144,43 @@ class TestFallbacks:
         exact_campaign = counting_campaign()
         exact = CampaignRunner(exact_campaign).run([table1_spec()])
         opaque_campaign = counting_campaign(wrap=OpaqueModel)
-        frontier = CampaignRunner(
-            opaque_campaign, strategy="frontier").run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        stats = frontier.frontier_stats
-        assert stats["exact_sites"] == stats["sites"]
-        assert stats["analytic_sites"] == 0
-        # No declarations -> no fast path: the call counts match.
+        cache = EvaluationCache()
+        batch = CampaignRunner(opaque_campaign, strategy="batch",
+                               cache=cache).run([table1_spec()])
+        assert records_bytes(exact.records) == records_bytes(batch.records)
+        # No hook -> no fast path: the call counts match, and the cached
+        # tables carry no decision for any site.
         assert opaque_campaign.behavior.calls == (
             exact_campaign.behavior.calls)
-
-    def test_monotonicity_only_bisects(self, counting_campaign):
-        exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([opens_spec()])
-        mono_campaign = counting_campaign(wrap=MonotonicityOnlyModel)
-        frontier = CampaignRunner(
-            mono_campaign, strategy="frontier").run([opens_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        stats = frontier.frontier_stats
-        assert stats["bisection_sites"] == stats["sites"]
-        # O(log |R|) beats O(|R|) on an 8-point grid.
-        assert mono_campaign.behavior.calls < (
-            exact_campaign.behavior.calls)
+        _, tables = cached_tables(opaque_campaign, cache, table1_spec())
+        for rows in tables.values():
+            assert rows == [None] * len(rows)
 
     def test_lying_frontier_is_caught_by_crosscheck(
             self, counting_campaign):
-        exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([table1_spec()])
+        exact = CampaignRunner(counting_campaign()).run([table1_spec()])
         lying_campaign = counting_campaign(wrap=LyingFrontierModel)
-        frontier = CampaignRunner(
-            lying_campaign, strategy="frontier",
-            frontier_policy=FrontierPolicy(crosscheck_fraction=1.0),
+        cache = EvaluationCache()
+        batch = CampaignRunner(
+            lying_campaign, strategy="batch", cache=cache,
+            batch_policy=BatchPolicy(crosscheck_fraction=1.0),
         ).run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        stats = frontier.frontier_stats
+        assert records_bytes(exact.records) == records_bytes(batch.records)
+        stats = batch.batch_stats
         assert stats["crosscheck_mismatches"] > 0
-        assert stats["demoted_sites"] > 0
-        # The demotion ledger says why each site fell off the fast path.
-        assert stats["demotions"]
-        for entry in stats["demotions"]:
-            assert entry["reason"] == "lying-model"
-            assert entry["stage"] == "crosscheck"
-            assert "derived row says" in entry["error"]
-
-    def test_nonmonotone_frontier_rejected_by_shape_check(
-            self, counting_campaign):
-        exact_campaign = counting_campaign()
-        exact = CampaignRunner(exact_campaign).run([table1_spec()])
-        bad_campaign = counting_campaign(wrap=NonMonotoneFrontierModel)
-        frontier = CampaignRunner(
-            bad_campaign, strategy="frontier").run([table1_spec()])
-        assert records_bytes(exact.records) == records_bytes(
-            frontier.records)
-        stats = frontier.frontier_stats
-        assert stats["nonmonotone_rejects"] == stats["sites"]
-        assert stats["analytic_sites"] == 0
-        assert {d["reason"] for d in stats["demotions"]} == {
-            "non-monotone"}
-        assert {d["stage"] for d in stats["demotions"]} == {
-            "shape-check"}
+        # Every demoted site is cached as "no decision"; every row that
+        # survived the full cross-check is the exact answer.
+        grid, tables = cached_tables(lying_campaign, cache, table1_spec())
+        demoted = 0
+        for cond, rows in tables.items():
+            exact_table = exact_rows(lying_campaign, DefectKind.BRIDGE,
+                                     grid, cond)
+            for row, truth in zip(rows, exact_table):
+                if row is None:
+                    demoted += 1
+                else:
+                    assert row == truth
+        assert demoted == stats["demoted_sites"] > 0
 
 
 class TestRunnerIntegration:
@@ -206,32 +189,30 @@ class TestRunnerIntegration:
             CampaignRunner(counting_campaign(), strategy="turbo")
 
     def test_frontier_is_serial_only(self, counting_campaign):
+        # Frontier tables are built by the serial batch evaluator.
         with pytest.raises(ValueError, match="serial"):
-            CampaignRunner(counting_campaign(), strategy="frontier",
+            CampaignRunner(counting_campaign(), strategy="batch",
                            workers=2)
 
     def test_group_tables_are_cached(self, counting_campaign):
-        from repro.perf.frontier import TABLE_SCHEMA
-
         campaign = counting_campaign()
         cache = EvaluationCache()
-        first = CampaignRunner(campaign, strategy="frontier",
+        first = CampaignRunner(campaign, strategy="batch",
                                cache=cache).run([table1_spec()])
-        assert first.frontier_stats["cached_groups"] == 0
-        assert any(isinstance(v, dict) and v.get("schema") == TABLE_SCHEMA
-                   for v in cache.entries.values())
+        assert first.batch_stats["cached_groups"] == 0
         # Keep only the table entries, so the second run must evaluate
         # its units -- from cached tables rather than re-derivation.
         table_cache = EvaluationCache()
         table_cache.entries = {
             k: v for k, v in cache.entries.items()
-            if isinstance(v, dict) and v.get("schema") == TABLE_SCHEMA}
+            if v.get("schema") == TABLE_SCHEMA}
+        assert table_cache.entries
         calls_before_second = campaign.behavior.calls
-        second = CampaignRunner(campaign, strategy="frontier",
+        second = CampaignRunner(campaign, strategy="batch",
                                 cache=table_cache).run([table1_spec()])
         assert records_bytes(first.records) == records_bytes(
             second.records)
-        stats = second.frontier_stats
+        stats = second.batch_stats
         assert stats["cached_groups"] == len(all_conditions())
         assert stats["groups"] == 0
         # Cached tables skip even the cross-check: zero new model calls.
@@ -241,19 +222,5 @@ class TestRunnerIntegration:
 class TestFrontierPolicy:
     @pytest.mark.parametrize("fraction", [-0.1, 1.5])
     def test_fraction_validated(self, fraction):
-        with pytest.raises(ValueError):
-            FrontierPolicy(crosscheck_fraction=fraction)
-
-
-class TestFrontierCacheKey:
-    def test_key_covers_grid_and_condition(self):
-        conds = all_conditions()
-        base = frontier_cache_key({"m": 1}, {"p": 1}, [1e3, 1e4], conds[0])
-        assert base == frontier_cache_key({"m": 1}, {"p": 1},
-                                          [1e3, 1e4], conds[0])
-        assert base != frontier_cache_key({"m": 1}, {"p": 1},
-                                          [1e3, 2e4], conds[0])
-        assert base != frontier_cache_key({"m": 1}, {"p": 1},
-                                          [1e3, 1e4], conds[1])
-        assert base != frontier_cache_key({"m": 2}, {"p": 1},
-                                          [1e3, 1e4], conds[0])
+        with pytest.raises(ValueError, match="crosscheck_fraction"):
+            BatchPolicy(crosscheck_fraction=fraction)

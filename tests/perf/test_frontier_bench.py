@@ -1,4 +1,5 @@
-"""Tests for the frontier benchmark harness and its committed artefact."""
+"""Tests for the fast-path benchmark harness (exact vs batch campaign,
+exact vs boundary shmoo) and its committed ``BENCH_frontier.json``."""
 
 import json
 from pathlib import Path
@@ -26,15 +27,11 @@ class TestFrontierBenchDocument:
 
     def test_headline_fields(self, frontier_doc):
         assert frontier_doc["schema"] == FRONTIER_BENCH_SCHEMA
+        assert FRONTIER_BENCH_SCHEMA == "repro.bench-frontier/3"
         assert frontier_doc["invocation_reduction_campaign"] >= 5.0
         assert frontier_doc["invocation_reduction_shmoo"] >= 3.0
         assert frontier_doc["campaign"]["records_match"] is True
         assert frontier_doc["shmoo"]["grids_match"] is True
-
-    def test_frontier_stats_embedded(self, frontier_doc):
-        stats = frontier_doc["campaign"]["frontier"]["stats"]
-        assert stats["batch_sites"] == stats["sites"]
-        assert stats["crosscheck_mismatches"] == 0
 
     def test_batch_stats_embedded(self, frontier_doc):
         campaign = frontier_doc["campaign"]
@@ -42,7 +39,29 @@ class TestFrontierBenchDocument:
         assert stats["batch_sites"] == stats["sites"]
         assert stats["demoted_sites"] == 0
         assert stats["crosscheck_mismatches"] == 0
-        assert campaign["speedup_batch"] >= MIN_BATCH_WALLCLOCK
+        assert campaign["speedup"] >= MIN_BATCH_WALLCLOCK
+        assert frontier_doc["wallclock_speedup_batch"] == campaign["speedup"]
+        assert frontier_doc["invocation_reduction_campaign"] == round(
+            campaign["exact"]["model_invocations"]
+            / campaign["batch"]["model_invocations"], 2)
+        assert set(campaign) == {
+            "exact", "batch", "invocation_reduction", "speedup",
+            "records_match"}
+
+    def test_frontier_stats_embedded(self, frontier_doc):
+        # The shmoo half traces the pass/fail frontier; its tracer
+        # stats ride along with the exact row they are compared to.
+        shmoo = frontier_doc["shmoo"]
+        boundary, exact = shmoo["boundary"], shmoo["exact"]
+        assert boundary["fallback"] is False
+        assert boundary["grid_cells"] == exact["grid_cells"]
+        assert 0 < boundary["crosscheck_invocations"] <= (
+            boundary["tester_invocations"])
+        assert exact["tester_invocations"] == exact["grid_cells"]
+        assert shmoo["invocation_reduction"] == round(
+            exact["tester_invocations"] / boundary["tester_invocations"], 2)
+        assert frontier_doc["invocation_reduction_shmoo"] == (
+            shmoo["invocation_reduction"])
 
     def test_round_trips_through_json(self, frontier_doc):
         doc = json.loads(json.dumps(frontier_doc))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import EventBus, JournalError, ObsEvent, read_journal
 
 
 class TestParser:
@@ -225,25 +226,31 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])
 
+    def test_rejects_unknown_strategy(self):
+        for strategy in ("turbo", "frontier"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["campaign", "run",
+                                           "--strategy", strategy])
+
     def test_run_with_frontier_strategy(self, capsys):
-        rc = main(["campaign", "run", *self.ARGS,
-                   "--strategy", "frontier"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "campaign complete" in out
-        assert "frontier:" in out and "model invocations" in out
+        # The retired strategy is a usage error: nothing runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", *self.ARGS, "--strategy", "frontier"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "campaign complete" not in out
+        assert "invalid choice: 'frontier'" in err
+        assert "'exact'" in err and "'batch'" in err
 
     def test_frontier_rejects_workers(self, capsys):
-        rc = main(["campaign", "run", *self.ARGS,
-                   "--strategy", "frontier", "--workers", "2"])
-        assert rc == 2
+        # The choice check fires before the serial-only worker check.
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", *self.ARGS,
+                  "--strategy", "frontier", "--workers", "2"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "serial" in err
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "run",
-                                       "--strategy", "turbo"])
+        assert "invalid choice: 'frontier'" in err
+        assert "serial" not in err
 
     def test_run_with_batch_strategy(self, capsys):
         rc = main(["campaign", "run", *self.ARGS,
@@ -296,7 +303,7 @@ class TestJournalCli:
         out = capsys.readouterr().out
         assert "Run report" in out
         assert "Quarantines:" in out
-        assert "Frontier demotions:" in out
+        assert "Batch demotions:" in out
 
     def test_report_json_format(self, capsys, tmp_path):
         journal = str(tmp_path / "run.jsonl")
@@ -319,6 +326,24 @@ class TestJournalCli:
         rc = main(["report", str(bad)])
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_report_names_retired_frontier_event(self, capsys, tmp_path):
+        """A journal written by an older build's frontier strategy
+        fails with a JournalError naming the retired event."""
+        journal = tmp_path / "old.jsonl"
+        bus = EventBus(journal)
+        bus.emit("run.start", plan_units=1)
+        bus.flush()
+        retired = ObsEvent(2, "frontier.group", {
+            "kind": "bridge", "condition": "VLV", "sites": 40,
+            "cached": False})
+        journal.write_text(journal.read_text() + retired.to_line() + "\n")
+        with pytest.raises(JournalError, match="'frontier.group'"):
+            read_journal(journal)
+        rc = main(["report", str(journal)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'frontier.group'" in err
 
     def test_report_without_journal_is_legacy_report(self, capsys):
         rc = main(["report", "--sites", "200", "--devices", "500"])
