@@ -192,6 +192,7 @@ echo "== fast-path equivalence markers =="
 # Every guarded fast path must name the test file that proves it
 # byte-identical to its exact path -- and that file must exist.
 for module in src/repro/perf/batch.py \
+              src/repro/defects/behavior.py \
               src/repro/tester/shmoo.py \
               src/repro/experiment/streaming/engine.py \
               src/repro/ifa/critical_area.py \

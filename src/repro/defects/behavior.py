@@ -36,12 +36,20 @@ Mechanisms implemented (paper cross-references):
   at VLV; at strongly elevated supply the defect's leakage path becomes
   visible again -- producing devices that fail both VLV *and* Vmax, the
   overlap classes of the paper's Figure 11 Venn diagram.
+
+The scalar :meth:`DefectBehaviorModel.manifestation` is the oracle.  One
+broadcasting numpy core (:meth:`DefectBehaviorModel._detect`) replays it
+bit for bit in two shapes: the campaign's site x R grid
+(:meth:`~DefectBehaviorModel.evaluate_batch`) and the streaming lot's
+per-defect diagonal (:meth:`~DefectBehaviorModel.evaluate_defects`).
+
+Exact-path equivalence: tests/perf/test_batch.py
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -508,7 +516,7 @@ class DefectBehaviorModel:
         return slack / cap
 
     # ------------------------------------------------------------------
-    # Vectorised batch evaluation (repro.perf.batch fast path)
+    # Vectorised detection: one broadcasting core, two shapes
     # ------------------------------------------------------------------
     def evaluate_batch(self, sites: Sequence[Defect],
                        resistances: Sequence[float],
@@ -519,16 +527,17 @@ class DefectBehaviorModel:
         call: element ``[i, j]`` is exactly
         ``fails_condition(sites[i].with_resistance(resistances[j]),
         condition)``.  *Exactly* means bit-identical, not approximately
-        equal: the closed forms below replay the scalar arithmetic of
-        :meth:`manifestation` with the same operand grouping and the
-        same comparison operators, restricted to IEEE-754-exact
-        elementwise numpy operations (``+ - * /``, comparisons,
-        ``maximum``).  Transcendentals (``log``, ``log10``, ``exp``,
-        ``**``) are never vectorised -- numpy's implementations may
-        differ from :mod:`math` by an ulp, enough to flip a boundary
-        cell -- and are instead computed per site or per grid point
-        through the identical :mod:`math` calls the scalar path makes.
-        See ``docs/batch_kernel.md`` for the full contract.
+        equal: the closed forms of :meth:`_detect` replay the scalar
+        arithmetic of :meth:`manifestation` with the same operand
+        grouping and the same comparison operators, restricted to
+        IEEE-754-exact elementwise numpy operations (``+ - * /``,
+        comparisons, ``maximum``).  Transcendentals (``log``,
+        ``log10``, ``exp``, ``**``) are never vectorised -- numpy's
+        implementations may differ from :mod:`math` by an ulp, enough
+        to flip a boundary cell -- and are instead computed per site or
+        per resistance element through the identical :mod:`math` calls
+        the scalar path makes.  See ``docs/batch_kernel.md`` for the
+        full contract.
 
         The hook is optional capability, never obligation:
         :class:`~repro.perf.batch.BatchEvaluator` probes for it with
@@ -553,107 +562,133 @@ class DefectBehaviorModel:
         """
         r = np.asarray(resistances, dtype=float)
         out = np.zeros((len(sites), r.size), dtype=bool)
-        all_strengths = np.fromiter((d.strength for d in sites),
-                                    dtype=float, count=len(sites))
-        by_class: dict[Any, list[int]] = {}
-        for i, defect in enumerate(sites):
-            by_class.setdefault(defect.site, []).append(i)
-        for site_class, indices in by_class.items():
-            strengths = all_strengths[indices]
-            if isinstance(site_class, BridgeSite):
-                rows = self._bridge_batch(site_class, strengths, r,
-                                          condition)
-            elif isinstance(site_class, OpenSite):
-                rows = self._open_batch(site_class, strengths, r,
-                                        condition)
-            else:
-                raise ValueError(f"unknown defect site {site_class}")
-            out[indices] = rows
+        for site, indices, strengths, _ in DefectBatch.of(sites).groups:
+            out[indices] = self._detect(site, strengths[:, None],
+                                        r[None, :], condition)
         return out
 
-    def _bridge_batch(self, site: BridgeSite, strengths: np.ndarray,
-                      r: np.ndarray,
-                      condition: StressCondition) -> np.ndarray:
-        """Detection rows of one bridge class (op-order-exact)."""
+    def evaluate_defects(self, defects: Sequence[Defect],
+                         condition: StressCondition) -> np.ndarray:
+        """Vectorised :meth:`fails_condition` over a defect list.
+
+        The diagonal of :meth:`evaluate_batch`: element ``i`` is
+        exactly ``fails_condition(defects[i], condition)``, each defect
+        at its own resistance, through the same broadcasting core and
+        under the same bit-identity contract.  The streaming lot
+        classifies each batch of defective chips with one call per
+        stress condition (:meth:`~repro.experiment.classify.
+        StressClassifier.classify_batch`).
+
+        Args:
+            defects: The defects; a :class:`DefectBatch` reuses its
+                site-class grouping across calls.
+            condition: The stress condition.
+
+        Returns:
+            Boolean array of shape ``(len(defects),)``.
+
+        Raises:
+            ValueError: a defect's site class is unknown to the model.
+        """
+        batch = DefectBatch.of(defects)
+        out = np.zeros(len(batch), dtype=bool)
+        for site, indices, strengths, resistances in batch.groups:
+            out[indices] = self._detect(site, strengths, resistances,
+                                        condition)
+        return out
+
+    def _detect(self, site: Any, s: np.ndarray, r: np.ndarray,
+                condition: StressCondition) -> np.ndarray:
+        """Detection of one site class: the one copy of the vector
+        physics.
+
+        ``s`` (strengths) and ``r`` (resistances) broadcast against
+        each other: ``s[:, None]`` x ``r[None, :]`` is the campaign's
+        site x R grid, two equal-length 1-D arrays are the lot's
+        defect-by-defect diagonal.  Per-site and per-resistance
+        factors are computed on ``s`` and ``r`` before they meet, so
+        each transcendental runs once per element of its own axis.
+        """
+        if isinstance(site, BridgeSite):
+            return self._bridge_detect(site, s, r, condition)
+        if isinstance(site, OpenSite):
+            return self._open_detect(site, s, r, condition)
+        raise ValueError(f"unknown defect site {site}")
+
+    def _bridge_detect(self, site: BridgeSite, s: np.ndarray,
+                       r: np.ndarray,
+                       condition: StressCondition) -> np.ndarray:
+        """Detection of one bridge class (op-order-exact)."""
         p = self.params
         vdd = condition.vdd
 
         if site is BridgeSite.BITLINE_BITLINE:
             # Union of the voltage and timing mechanisms of
-            # _bridge_manifestation.  The site spread goes through the
-            # identical math.log call, per site (tolist() hands back
-            # the exact doubles, so this mirrors _site_z(d, 0.5)
-            # bit-for-bit).
-            z = np.array([math.log(s) / 0.5 for s in strengths.tolist()],
-                         dtype=float)
+            # _bridge_manifestation; the site spread is _site_z(d, 0.5).
+            z = _per_element(lambda x: math.log(x) / 0.5, s)
             v_mask = p.bitline_v_mask + p.bitline_v_sigma * z
-            r_crit = strengths * p.bitline_r
-            r_as = p.bitline_atspeed_r * strengths
+            r_crit = s * p.bitline_r
+            r_as = p.bitline_atspeed_r * s
             develop_need = self._delay_scale(vdd, condition.temperature)
             timing_armed = condition.period < 25e-9 * develop_need
-            voltage = ((vdd <= v_mask)[:, None]
-                       & (r[None, :] <= r_crit[:, None]))
-            timing = (r[None, :] <= r_as[:, None]) & timing_armed
-            return voltage | timing
+            return (((vdd <= v_mask) & (r <= r_crit))
+                    | ((r <= r_as) & timing_armed))
 
-        r_crit = self._bridge_batch_critical(site, strengths, vdd,
-                                             condition.temperature)
+        r_crit = self._bridge_critical(site, s, vdd, condition.temperature)
         # Mirrors "if defect.resistance > r_crit: return None".
-        return ~(r[None, :] > r_crit[:, None])
+        return ~(r > r_crit)
 
-    def _bridge_batch_critical(self, site: BridgeSite,
-                               strengths: np.ndarray, vdd: float,
-                               temperature: float) -> np.ndarray:
+    def _bridge_critical(self, site: BridgeSite, s: np.ndarray,
+                         vdd: float, temperature: float) -> np.ndarray:
         """Per-site critical resistances, exactly as the scalar path.
 
         Every class keeps :meth:`bridge_critical_resistance`'s operand
         grouping: ``strength * p.rail_c * shape`` is computed as
-        ``(strengths * p.rail_c) * shape``, never re-associated --
-        float multiplication is commutative but not associative, and
+        ``(s * p.rail_c) * shape``, never re-associated -- float
+        multiplication is commutative but not associative, and
         regrouping could flip a boundary comparison.
         """
         p = self.params
         if site is BridgeSite.CELL_NODE_RAIL:
             vt_eff = p.rail_vt_eff - self._temp_vt_shift(temperature)
             if vdd <= vt_eff:
-                return np.full(strengths.shape, math.inf)
+                return np.full(s.shape, math.inf)
             shape = vdd / (vdd - vt_eff) ** p.rail_alpha
-            return (strengths * p.rail_c) * shape
+            return (s * p.rail_c) * shape
         if site is BridgeSite.CELL_NODE_NODE:
             frac = _sigmoid((p.snm_v_mid - vdd) / p.snm_v_width)
-            return strengths * (p.snm_r_lo
-                                + (p.snm_r_hi - p.snm_r_lo) * frac)
+            return s * (p.snm_r_lo + (p.snm_r_hi - p.snm_r_lo) * frac)
         if site is BridgeSite.WORDLINE_CELL:
             frac = _sigmoid((p.wordline_v_mid - vdd) / p.wordline_v_width)
-            return (strengths * p.wordline_r) * frac
+            return (s * p.wordline_r) * frac
         if site is BridgeSite.DECODER_LOGIC:
-            return (strengths * p.decoder_r) * (
+            return (s * p.decoder_r) * (
                 1.0 + 0.1 * (self.tech.vdd_nominal - vdd))
         if site is BridgeSite.PERIPHERY_METAL:
-            return strengths * p.periphery_r
+            return s * p.periphery_r
         if site is BridgeSite.EQUIVALENT_NODE:
-            return np.zeros(strengths.shape)
+            return np.zeros(s.shape)
         raise ValueError(f"unknown bridge site {site}")
 
-    def _open_batch(self, site: OpenSite, strengths: np.ndarray,
-                    r: np.ndarray,
-                    condition: StressCondition) -> np.ndarray:
-        """Detection rows of one open class (op-order-exact)."""
+    def _open_detect(self, site: OpenSite, s: np.ndarray, r: np.ndarray,
+                     condition: StressCondition) -> np.ndarray:
+        """Detection of one open class (op-order-exact)."""
         p = self.params
         vdd, period = condition.vdd, condition.period
         scale = self._delay_scale(vdd, condition.temperature)
         if math.isinf(scale):
             # Below the path threshold every open is silent.
-            return np.zeros((strengths.size, r.size), dtype=bool)
+            return np.zeros(np.broadcast_shapes(s.shape, r.shape),
+                            dtype=bool)
 
         if site is OpenSite.BITLINE_SEGMENT:
             # added = (resistance * seg_c) * strength, grouped exactly
             # as the scalar left-associative product.
-            added = (r * p.seg_c)[None, :] * strengths[:, None]
+            added = (r * p.seg_c) * s
             return p.seg_t0 + added > period
 
         if site is OpenSite.CELL_ACCESS:
-            added = (r * p.access_c)[None, :] * strengths[:, None]
+            added = (r * p.access_c) * s
             develop = p.access_t0 * scale
             if vdd <= self.tech.vdd_vlv + 0.15:
                 develop *= p.access_vlv_blowup
@@ -662,36 +697,112 @@ class DefectBehaviorModel:
 
         if site is OpenSite.CELL_PULLUP:
             leak = self._temp_leak_factor(condition.temperature)
-            r_vlv = (p.pullup_r_vlv * strengths) / leak
-            r_vmax = (p.pullup_r_vmax * strengths) / leak
-            out = np.zeros((strengths.size, r.size), dtype=bool)
+            r_vlv = (p.pullup_r_vlv * s) / leak
+            r_vmax = (p.pullup_r_vmax * s) / leak
+            out = np.zeros(np.broadcast_shapes(s.shape, r.shape),
+                           dtype=bool)
             if vdd <= self.tech.vdd_vlv + 0.1:
-                out |= r[None, :] >= r_vlv[:, None]
+                out |= r >= r_vlv
             if vdd >= self.tech.vdd_max - 1e-9:
-                out |= r[None, :] >= r_vmax[:, None]
+                out |= r >= r_vmax
             return out
 
         if site is OpenSite.DECODER_INPUT:
-            # v_detect per (site, R) cell; both transcendental factors
-            # go through the identical math calls the scalar path
-            # makes -- per site for the spread, per grid point for the
-            # log-resistance term.
-            # Mirrors _site_z(d, 0.5) bit-for-bit (tolist() returns
-            # the exact doubles).
-            z = np.array([math.log(s) / 0.5 for s in strengths.tolist()],
-                         dtype=float)
-            l10 = np.array(
-                [math.log10(rj / p.dec_r_ref) for rj in r.tolist()],
-                dtype=float)
-            v = ((p.dec_v_base + p.dec_v_spread * z)[:, None]
-                 - (p.dec_v_slope * l10)[None, :])
-            v_detect = np.maximum(v, 0.5 * self.tech.vdd_vlv)
-            return vdd >= v_detect
+            # decoder_open_detection_voltage, element by element: the
+            # site spread per strength, the log-resistance term per
+            # resistance.
+            z = _per_element(lambda x: math.log(x) / 0.5, s)
+            l10 = _per_element(lambda x: math.log10(x / p.dec_r_ref), r)
+            v = (p.dec_v_base + p.dec_v_spread * z) - p.dec_v_slope * l10
+            return vdd >= np.maximum(v, 0.5 * self.tech.vdd_vlv)
 
         if site is OpenSite.PERIPHERY_PATH:
-            added = ((r * p.periphery_c)[None, :]
-                     * strengths[:, None]) * scale
+            added = ((r * p.periphery_c) * s) * scale
             path = p.periphery_t0 * scale
             return path + added > period
 
         raise ValueError(f"unknown open site {site}")
+
+
+def _per_element(fn: Callable[[float], float],
+                 values: np.ndarray) -> np.ndarray:
+    """``fn`` of every element, through :mod:`math`, in ``values``'
+    shape (``tolist()`` hands back the exact doubles, so each element
+    takes the identical call the scalar path makes)."""
+    return np.array([fn(v) for v in values.ravel().tolist()],
+                    dtype=float).reshape(values.shape)
+
+
+class DefectBatch(Sequence[Defect]):
+    """A defect sequence grouped by site class once.
+
+    Both vector hooks take their per-class arrays from here.  Handing
+    :meth:`DefectBehaviorModel.evaluate_defects` a batch instead of a
+    plain sequence lets one grouping serve a call per stress condition;
+    to any other hook it is an ordinary sequence.
+
+    Attributes:
+        groups: One ``(site_class, indices, strengths, resistances)``
+            per class, in first-seen order; ``indices`` locate the
+            class's defects in the sequence.
+    """
+
+    def __init__(self, defects: Sequence[Defect]) -> None:
+        self._defects = defects
+        by_class: dict[Any, list[int]] = {}
+        for i, defect in enumerate(defects):
+            by_class.setdefault(defect.site, []).append(i)
+        n = len(defects)
+        strengths = np.fromiter((d.strength for d in defects),
+                                dtype=float, count=n)
+        resistances = np.fromiter((d.resistance for d in defects),
+                                  dtype=float, count=n)
+        groups = []
+        for site, members in by_class.items():
+            indices = np.array(members, dtype=np.intp)
+            groups.append((site, indices, strengths[indices],
+                           resistances[indices]))
+        self.groups: tuple[tuple[Any, np.ndarray, np.ndarray,
+                                 np.ndarray], ...] = tuple(groups)
+
+    @classmethod
+    def of(cls, defects: Sequence[Defect]) -> "DefectBatch":
+        """``defects`` itself if already a batch, else its grouping."""
+        return defects if isinstance(defects, cls) else cls(defects)
+
+    def __len__(self) -> int:
+        return len(self._defects)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._defects[index]
+
+
+#: The scalar methods the vector core replays.  A subclass overriding
+#: any of them has physics the stock core does not know.
+_SCALAR_PHYSICS = ("manifestation", "fails_condition",
+                   "_bridge_manifestation", "_open_manifestation",
+                   "bridge_critical_resistance",
+                   "decoder_open_detection_voltage", "_site_z")
+
+
+def defect_kernel(model: Any) -> Callable[..., np.ndarray] | None:
+    """The model's ``evaluate_defects`` hook, if it may be trusted.
+
+    ``None`` when the model offers no hook (a duck model, or one that
+    declines it with ``evaluate_defects = None`` as
+    :class:`~repro.runner.chaos.ChaosBehaviorModel` does), and when the
+    hook is the stock one bound to a subclass that overrides the scalar
+    physics: its core would still answer for the stock model.  Callers
+    then take the scalar path.  A wrapper that delegates attributes
+    (:class:`~repro.perf.counting.CountingBehaviorModel`) exposes the
+    wrapped model's hook, judged by the wrapped model's class.
+    """
+    hook = getattr(model, "evaluate_defects", None)
+    if hook is None:
+        return None
+    if getattr(hook, "__func__", None) is DefectBehaviorModel.evaluate_defects:
+        cls = type(hook.__self__)
+        if any(getattr(cls, name) is not getattr(DefectBehaviorModel, name)
+               for name in _SCALAR_PHYSICS):
+            return None
+    return hook

@@ -11,10 +11,15 @@ conditions it fails, which feeds the Venn diagram of Figure 11.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
+
+import numpy as np
 
 from repro.circuit.technology import CMOS018, Technology
-from repro.defects.behavior import DefectBehaviorModel
+from repro.defects.behavior import DefectBatch, DefectBehaviorModel
+from repro.defects.models import Defect
 from repro.experiment.veqtor import VeqtorChip, VeqtorTestBench
 from repro.march.library import TEST_11N
 from repro.march.test import MarchTest
@@ -26,6 +31,13 @@ from repro.tester.ate import VirtualTester
 STRESS_NAMES = ("VLV", "Vmax", "at-speed")
 #: The standard screening conditions.
 STANDARD_NAMES = ("Vmin", "Vnom")
+#: Every stress-fail set, indexed by its bit code (bit ``i`` set =
+#: ``STRESS_NAMES[i]`` failed); each set is built as
+#: :meth:`StressClassifier.classify_chip` builds it.
+_STRESS_REGIONS = tuple(
+    frozenset(name for bit, name in enumerate(STRESS_NAMES)
+              if code >> bit & 1)
+    for code in range(1 << len(STRESS_NAMES)))
 
 
 @dataclass
@@ -131,6 +143,68 @@ class StressClassifier:
             if self.bench.chip_fails(chip, self.test, self.conditions[name])
         )
         return DeviceRecord(chip, False, failed)
+
+    def classify_batch(self, chips: Sequence[VeqtorChip],
+                       evaluate_defects: Callable[..., Any],
+                       ) -> list[DeviceRecord | None]:
+        """:meth:`classify_chip` over a batch of chips, one
+        ``evaluate_defects`` call per condition.
+
+        ``evaluate_defects`` is a behaviour model's per-defect hook
+        (see :func:`~repro.defects.behavior.defect_kernel`): element
+        ``i`` of its answer is ``fails_condition(defects[i],
+        condition)``.  The batch's defects are grouped by site class
+        once, for all five conditions.  A chip fails a condition when
+        the fault-free timing check fails or any of its defects is
+        detected -- the quick-mode verdict of
+        :meth:`~repro.experiment.veqtor.VeqtorTestBench.chip_fails` --
+        and each record is built as :meth:`classify_chip` builds it:
+        the standard screen first, then the stress-fail set.
+
+        Returns:
+            One entry per chip, in order (``None`` for a clean chip).
+
+        Raises:
+            ValueError: the hook answered with the wrong shape.
+        """
+        defects: list[Defect] = []
+        owners: list[int] = []
+        for position, chip in enumerate(chips):
+            chip_defects = chip.all_defects
+            defects += chip_defects
+            owners += [position] * len(chip_defects)
+        batch = DefectBatch(defects)
+        owner = np.array(owners, dtype=np.intp)
+        fails: dict[str, np.ndarray] = {}
+        for name in STANDARD_NAMES + STRESS_NAMES:
+            condition = self.conditions[name]
+            if not self.bench.meets_timing(condition):
+                fails[name] = np.ones(len(chips), dtype=bool)
+                continue
+            detected = np.asarray(evaluate_defects(batch, condition),
+                                  dtype=bool)
+            if detected.shape != (len(batch),):
+                raise ValueError(
+                    f"evaluate_defects returned shape {detected.shape} "
+                    f"for {len(batch)} defects")
+            fails[name] = np.zeros(len(chips), dtype=bool)
+            fails[name][owner[detected]] = True
+        defective = np.bincount(owner, minlength=len(chips)) > 0
+        standard = np.logical_or.reduce([fails[n] for n in STANDARD_NAMES])
+        region = sum(fails[n].astype(np.intp) << bit
+                     for bit, n in enumerate(STRESS_NAMES))
+        records: list[DeviceRecord | None] = []
+        for chip, is_defective, failed_standard, code in zip(
+                chips, defective.tolist(), standard.tolist(),
+                region.tolist()):
+            if not is_defective:
+                records.append(None)
+            elif failed_standard:
+                records.append(DeviceRecord(chip, True))
+            else:
+                records.append(DeviceRecord(chip, False,
+                                            _STRESS_REGIONS[code]))
+        return records
 
     def classify(self, chips: list[VeqtorChip]) -> ExperimentResult:
         """Classify a lot; clean chips short-circuit for speed."""

@@ -37,6 +37,25 @@ def _region_key(region: frozenset[str]) -> str:
     return _REGION_SEP.join(sorted(region))
 
 
+class PayloadError(ValueError):
+    """A shard payload is not a well-formed accumulator dict."""
+
+
+def _count(value: Any, where: str) -> int:
+    """``value`` if it is a non-negative int (not a bool), else raise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise PayloadError(
+            f"{where} must be a non-negative int, got {value!r}")
+    return value
+
+
+def _mapping(value: Any, where: str) -> dict[str, Any]:
+    """``value`` if it is a dict, else raise."""
+    if not isinstance(value, dict):
+        raise PayloadError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentAccumulator:
     """Mergeable sufficient statistics of a (partial) experiment.
@@ -150,19 +169,42 @@ class ExperimentAccumulator:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ExperimentAccumulator":
-        """Rebuild an accumulator from :meth:`as_payload` output."""
+    def from_payload(cls, payload: Any) -> "ExperimentAccumulator":
+        """Rebuild an accumulator from :meth:`as_payload` output.
+
+        A checkpoint's checksum proves only that its bytes are the ones
+        written, so the payload is validated as outside input.
+
+        Raises:
+            PayloadError: not a dict, a required count missing, a count
+                that is not a non-negative int, or more defective
+                devices than devices.
+        """
+        payload = _mapping(payload, "payload")
+        for key in ("devices", "defective", "standard_fails"):
+            if key not in payload:
+                raise PayloadError(f"payload lacks {key!r}")
         acc = cls(
-            devices=int(payload["devices"]),
-            defective=int(payload["defective"]),
-            standard_fails=int(payload["standard_fails"]),
-            errors=int(payload.get("errors", 0)),
+            devices=_count(payload["devices"], "devices"),
+            defective=_count(payload["defective"], "defective"),
+            standard_fails=_count(payload["standard_fails"],
+                                  "standard_fails"),
+            errors=_count(payload.get("errors", 0), "errors"),
         )
-        for key, n in payload.get("classes", {}).items():
-            acc.class_counts[frozenset(key.split(_REGION_SEP))] = int(n)
-        for condition, counts in payload.get("hints", {}).items():
-            acc.hint_counts[condition] = Counter(
-                {value: int(n) for value, n in counts.items()})
+        if acc.defective > acc.devices:
+            raise PayloadError(
+                f"defective ({acc.defective}) exceeds devices "
+                f"({acc.devices})")
+        classes = _mapping(payload.get("classes", {}), "classes")
+        for key, n in classes.items():
+            acc.class_counts[frozenset(key.split(_REGION_SEP))] = _count(
+                n, f"classes[{key!r}]")
+        hints = _mapping(payload.get("hints", {}), "hints")
+        for condition, counts in hints.items():
+            where = f"hints[{condition!r}]"
+            acc.hint_counts[condition] = Counter({
+                value: _count(n, f"{where}[{value!r}]")
+                for value, n in _mapping(counts, where).items()})
         return acc
 
     @classmethod

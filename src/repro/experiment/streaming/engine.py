@@ -19,6 +19,14 @@ and one batched attribute-per-array defect draw
 only *defective* chips materialize as objects -- O(defective), not
 O(devices), and ~94 % of devices are clean at the paper's D0.
 
+Classification runs through the behaviour model's per-defect kernel
+(:meth:`~repro.defects.behavior.DefectBehaviorModel.evaluate_defects`)
+in batches of at most ``block_devices`` chips: one kernel call per
+stress condition answers every defect of the batch.  A model without a
+trusted kernel (chaos-wrapped, third-party, or a subclass with its own
+scalar physics) classifies chip by chip through the scalar tester
+path, which stays the oracle the batches must match record for record.
+
 Exact-path equivalence: tests/experiment/test_streaming.py
 (``scheme="legacy"`` reduces the original single-stream draw order to
 a payload byte-identical to the materialised pipeline's).
@@ -26,6 +34,7 @@ a payload byte-identical to the materialised pipeline's).
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Callable, Iterator
 from typing import Any
@@ -33,6 +42,7 @@ from typing import Any
 import numpy as np
 
 from repro.circuit.technology import CMOS018, Technology
+from repro.defects.behavior import defect_kernel
 from repro.defects.distribution import (
     DefectDensity,
     ResistanceDistribution,
@@ -40,7 +50,7 @@ from repro.defects.distribution import (
     default_open_distribution,
 )
 from repro.defects.models import DefectKind
-from repro.experiment.classify import StressClassifier
+from repro.experiment.classify import DeviceRecord, StressClassifier
 from repro.experiment.diagnosis import LotDiagnostician
 from repro.experiment.population import PopulationGenerator, PopulationSpec
 from repro.experiment.streaming.accumulator import ExperimentAccumulator
@@ -257,6 +267,28 @@ class StreamingExperiment:
                     cursor += 1
             yield chip
 
+    def iter_shard_records(self, shard: ShardUnit,
+                           ) -> Iterator[DeviceRecord | None]:
+        """Classify the shard's chips, in order (``None`` = clean).
+
+        With a trusted per-defect kernel the chips are classified in
+        batches of at most ``block_devices`` -- memory stays bounded
+        by the block size under both schemes, never by the lot -- and
+        otherwise one by one through
+        :meth:`~repro.experiment.classify.StressClassifier.classify_chip`.
+        Generation and its RNG draw order are the same either way.
+        """
+        classifier = self.classifier
+        chips = self.iter_shard_chips(shard)
+        kernel = defect_kernel(self.behavior)
+        if kernel is None:
+            for chip in chips:
+                yield classifier.classify_chip(chip)
+            return
+        while batch := list(itertools.islice(chips,
+                                             self.plan.block_devices)):
+            yield from classifier.classify_batch(batch, kernel)
+
     # ------------------------------------------------------------------
     # Executor integration
     # ------------------------------------------------------------------
@@ -310,7 +342,6 @@ class ShardEvaluator:
             UnitDeadlineExceeded: the shard overran ``unit_deadline``.
         """
         engine = self.campaign
-        classifier = engine.classifier
         # Chaos bookkeeping (duck-typed: absent outside chaos runs) --
         # the same unit-scoped snapshot protocol as UnitEvaluator, so
         # outcomes carry injector counter growth across the process
@@ -325,9 +356,8 @@ class ShardEvaluator:
         acc = ExperimentAccumulator(devices=shard.devices)
         diagnostician = engine.diagnostician if engine.diagnose else None
         seen = 0
-        for chip in engine.iter_shard_chips(shard):
+        for record in engine.iter_shard_records(shard):
             seen += 1
-            record = classifier.classify_chip(chip)
             if record is None:
                 continue
             acc.observe(record)

@@ -82,6 +82,15 @@ class ShardPlan:
     scheme: str = "spawn"
 
     def __post_init__(self) -> None:
+        # A float size slips past the range checks below (NaN compares
+        # False to everything, 5000.5 reaches numpy's poisson, True is
+        # a one-device lot), so sizes must be ints before anything else.
+        for name in ("n_devices", "shard_devices", "block_devices"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(
+                    f"{name} must be an int, got {value!r} "
+                    f"({type(value).__name__})")
         if self.n_devices <= 0:
             raise ValueError("n_devices must be positive")
         if self.scheme not in SCHEMES:

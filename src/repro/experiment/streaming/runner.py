@@ -18,11 +18,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.experiment.streaming.accumulator import ExperimentAccumulator
+from repro.experiment.streaming.accumulator import (
+    ExperimentAccumulator,
+    PayloadError,
+)
 from repro.experiment.streaming.engine import StreamingExperiment
+from repro.experiment.streaming.plan import ShardUnit
 from repro.experiment.venn import VennCounts
 from repro.experiment.classify import STRESS_NAMES
-from repro.runner.checkpoint import CampaignCheckpoint
+from repro.runner.checkpoint import CampaignCheckpoint, CheckpointCorruptError
 from repro.runner.evaluate import UnitOutcome
 from repro.runner.retry import RetryPolicy
 
@@ -166,6 +170,27 @@ class StreamingRunner:
                                         chunksize=self.chunksize)
         return executor.run(pending)
 
+    def _replay(self, unit: ShardUnit,
+                payload: Any) -> ExperimentAccumulator:
+        """A completed shard's accumulator, rebuilt from the checkpoint.
+
+        Raises:
+            CheckpointCorruptError: the payload is malformed or covers
+                another number of devices than the shard.
+        """
+        try:
+            acc = ExperimentAccumulator.from_payload(payload)
+        except PayloadError as exc:
+            raise CheckpointCorruptError(
+                self.checkpoint_path,
+                f"{unit.unit_id}: {exc}") from exc
+        if acc.devices != unit.devices:
+            raise CheckpointCorruptError(
+                self.checkpoint_path,
+                f"{unit.unit_id}: payload covers {acc.devices} devices, "
+                f"the shard has {unit.devices}")
+        return acc
+
     # ------------------------------------------------------------------
     def run(self) -> StreamingResult:
         """Run (or resume) the experiment and reduce in shard order.
@@ -209,12 +234,13 @@ class StreamingRunner:
         for unit in units:
             unit_id = unit.unit_id
             if ckpt.is_complete(unit_id):
-                payload = ckpt.result_for(unit_id)
+                shard_acc = self._replay(unit, ckpt.result_for(unit_id))
                 result.resumed_shards += 1
                 source = "checkpoint"
             else:
                 outcome = next(outcomes)
                 payload = outcome.record
+                shard_acc = ExperimentAccumulator.from_payload(payload)
                 result.quarantine.extend(outcome.quarantine)
                 result.executed_shards += 1
                 source = "executed"
@@ -227,7 +253,6 @@ class StreamingRunner:
                                  error=entry["error"])
                     metrics.inc("quarantine.sites",
                                 len(outcome.quarantine))
-            shard_acc = ExperimentAccumulator.from_payload(payload)
             total.merge(shard_acc)
             processed += 1
             if bus is not None:

@@ -77,6 +77,14 @@ class VeqtorTestBench:
         # One SRAM model serves all instances (state is reset per run).
         self._sram = Sram(geometry, tech, name="veqtor4-core")
 
+    def meets_timing(self, condition: StressCondition) -> bool:
+        """Does the fault-free core meet timing at ``condition``?
+
+        Failing it fails every chip, defective or not, before any
+        defect is evaluated.
+        """
+        return self._sram.meets_timing(condition.vdd, condition.period)
+
     def chip_fails(self, chip: VeqtorChip, test: MarchTest,
                    condition: StressCondition) -> bool:
         """Chip-level verdict: any instance failing fails the part.
@@ -88,7 +96,7 @@ class VeqtorTestBench:
         most defective chips carry a single defect in one of four
         instances) saves three no-op tester calls per chip.
         """
-        if not self._sram.meets_timing(condition.vdd, condition.period):
+        if not self.meets_timing(condition):
             return True
         for instance_defects in chip.defects:
             if not instance_defects:

@@ -296,11 +296,14 @@ class ChaosBehaviorModel:
     class attribute below shadows ``__getattr__`` delegation, so batch
     evaluators see ``None`` and take the all-scalar fallback --
     chaos campaigns probe site-for-site exactly like
-    ``strategy="exact"``.
+    ``strategy="exact"``.  It declines the per-defect
+    ``evaluate_defects`` hook the same way, so a chaos-wrapped streaming
+    lot classifies through the scalar tester path.
     """
 
     SITE = "behavior.evaluate"
     evaluate_batch = None
+    evaluate_defects = None
 
     def __init__(self, inner, injector: FaultInjector) -> None:
         self.inner = inner

@@ -10,8 +10,12 @@ without changing a single count.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.circuit.technology import CMOS018
+from repro.defects.behavior import DefectBehaviorModel, defect_kernel
+from repro.defects.models import DefectKind
 from repro.experiment import (
     ExperimentAccumulator,
     PopulationGenerator,
@@ -23,6 +27,8 @@ from repro.experiment import (
     VeqtorChip,
 )
 from repro.experiment.classify import DeviceRecord
+from repro.experiment.streaming.accumulator import PayloadError
+from repro.perf.counting import CountingBehaviorModel
 from repro.runner.atomic import canonical_json
 from repro.runner.chaos import (
     WORKER_EXIT_SITE,
@@ -31,6 +37,7 @@ from repro.runner.chaos import (
 )
 from repro.runner.checkpoint import (
     CampaignCheckpoint,
+    CheckpointCorruptError,
     CheckpointMismatchError,
 )
 
@@ -86,6 +93,19 @@ class TestShardPlan:
     def test_rejects_nonpositive_devices(self):
         with pytest.raises(ValueError):
             ShardPlan(0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_devices", float("nan")),    # once a silently empty lot
+        ("n_devices", True),            # once a one-device lot
+        ("n_devices", 5000.5),          # once a TypeError inside numpy
+        ("shard_devices", 65536.0),     # once "shard:00001:65536-100000.0"
+        ("block_devices", 4096.0),
+        ("block_devices", False),
+    ])
+    def test_rejects_non_int_sizes(self, field, value):
+        sizes = {"n_devices": 100_000, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            ShardPlan(**sizes)
 
 
 def _record(chip_id, failed_standard=False, failed_stress=()):
@@ -155,6 +175,28 @@ class TestAccumulator:
         cba = c.merge(b).merge(a).as_payload()
         assert canonical_json(ab_c) == canonical_json(a_bc)
         assert canonical_json(ab_c) == canonical_json(cba)
+
+    @pytest.mark.parametrize("payload, match", [
+        ({"devices": 4096}, "lacks 'defective'"),
+        ([1, 2], "payload must be an object"),
+        ({"devices": 4096, "defective": "x", "standard_fails": 0},
+         "defective must be a non-negative int"),
+        ({"devices": 4096, "defective": -5, "standard_fails": 0},
+         "defective must be a non-negative int"),
+        ({"devices": 4096, "defective": 1.9, "standard_fails": 0},
+         "defective must be a non-negative int"),
+        ({"devices": True, "defective": 0, "standard_fails": 0},
+         "devices must be a non-negative int"),
+        ({"devices": 4096, "defective": 4097, "standard_fails": 0},
+         "exceeds devices"),
+        ({"devices": 4096, "defective": 9, "standard_fails": 0,
+          "classes": {"VLV": -1}}, "classes"),
+        ({"devices": 4096, "defective": 9, "standard_fails": 0,
+          "hints": {"VLV": [1]}}, "hints"),
+    ])
+    def test_from_payload_rejects_malformed_payloads(self, payload, match):
+        with pytest.raises(PayloadError, match=match):
+            ExperimentAccumulator.from_payload(payload)
 
     def test_escape_dpm_guards_empty_accumulator(self):
         assert ExperimentAccumulator().escape_dpm("VLV") == 0.0
@@ -248,6 +290,33 @@ class TestResume:
         assert canonical_json(result.accumulator.as_payload()) == (
             canonical_json(uninterrupted))
 
+    @pytest.mark.parametrize("payload, match", [
+        ({"devices": 4096}, "lacks 'defective'"),
+        ([1, 2], "payload must be an object"),
+        ({"devices": 4096, "defective": "x", "standard_fails": 0},
+         "defective must be"),
+        ({"devices": 4096, "defective": -5, "standard_fails": 0},
+         "defective must be"),
+        ({"devices": 4096, "defective": 1.9, "standard_fails": 0},
+         "defective must be"),
+        # Once merged silently: a 16,384-device lot reported 1,012,287.
+        ({"devices": 999_999, "defective": 0, "standard_fails": 0},
+         "covers 999999 devices, the shard has 4096"),
+    ])
+    def test_malformed_replayed_payload_is_refused(self, tmp_path, payload,
+                                                   match):
+        ckpt_path = tmp_path / "exp.ckpt.json"
+        engine = StreamingExperiment(n_devices=self.N, shard_devices=4096)
+        ckpt = CampaignCheckpoint(engine.meta())
+        # Stored as-is: the file is validly checksummed, its payload
+        # is not.
+        ckpt.completed[engine.plan.shards()[0].unit_id] = payload
+        ckpt.save(ckpt_path)
+        runner = StreamingRunner(engine, checkpoint_path=ckpt_path)
+        with pytest.raises(CheckpointCorruptError,
+                           match="shard:00000:0-4096: .*" + match):
+            runner.run()
+
     def test_mismatched_checkpoint_is_rejected(self, tmp_path):
         ckpt_path = tmp_path / "exp.ckpt.json"
         _payload(self.N, shard_devices=4096, checkpoint_path=ckpt_path)
@@ -287,6 +356,151 @@ class TestChaos:
         assert result.accumulator.errors == 0
         assert canonical_json(result.accumulator.as_payload()) == (
             canonical_json(clean))
+
+
+def _scalar_payload(engine):
+    """The lot classified chip by chip through ``classify_chip`` --
+    the oracle the kernel batches must match payload for payload."""
+    total = ExperimentAccumulator()
+    for shard in engine.plan.shards():
+        acc = ExperimentAccumulator(devices=shard.devices)
+        for chip in engine.iter_shard_chips(shard):
+            record = engine.classifier.classify_chip(chip)
+            if record is None:
+                continue
+            acc.observe(record)
+            if engine.diagnose and record.interesting:
+                device = engine.diagnostician.diagnose_device(record)
+                acc.observe_hints(device.hints)
+        total.merge(acc)
+    return total.as_payload()
+
+
+def _kernel_payload(engine, workers=1):
+    return StreamingRunner(engine, workers=workers).run(
+    ).accumulator.as_payload()
+
+
+class DuckModel:
+    """A third-party model: scalar physics, no per-defect hook."""
+
+    def __init__(self):
+        self.inner = DefectBehaviorModel(CMOS018)
+
+    def manifestation(self, defect, condition):
+        return self.inner.manifestation(defect, condition)
+
+    def fails_condition(self, defect, condition):
+        return self.inner.fails_condition(defect, condition)
+
+
+class VlvBlindModel(DefectBehaviorModel):
+    """Own scalar physics (bridges never show at VLV), stock hook."""
+
+    def manifestation(self, defect, condition):
+        if defect.kind is DefectKind.BRIDGE and condition.name == "VLV":
+            return None
+        return super().manifestation(defect, condition)
+
+
+class RaisingHookModel(DefectBehaviorModel):
+    def evaluate_defects(self, defects, condition):
+        raise RuntimeError("vector unit on fire")
+
+
+class BadShapeHookModel(DefectBehaviorModel):
+    def evaluate_defects(self, defects, condition):
+        return np.zeros(len(defects) + 1, dtype=bool)
+
+
+class TestKernelPath:
+    """Shards classified by the per-defect kernel equal the scalar
+    ``classify_chip`` path, payload for payload."""
+
+    N = 16_384
+
+    @pytest.mark.parametrize("seed", [1, 7, 1105])
+    @pytest.mark.parametrize("shard_devices, block_devices", [
+        (4096, None), (16_384, None),
+        (4096, 64),     # ~4 kernel batches per shard
+    ])
+    def test_matches_scalar_path(self, seed, shard_devices, block_devices):
+        engine = StreamingExperiment(
+            n_devices=self.N, seed=seed, shard_devices=shard_devices,
+            **({"block_devices": block_devices}
+               if block_devices is not None else {}))
+        assert defect_kernel(engine.behavior) is not None
+        kernel = _kernel_payload(engine)
+        assert kernel["classes"] and kernel["standard_fails"]
+        assert canonical_json(kernel) == canonical_json(
+            _scalar_payload(engine))
+
+    @pytest.mark.parametrize("seed", [3, 1105])
+    def test_matches_scalar_path_with_diagnosis(self, seed):
+        engine = StreamingExperiment(n_devices=8192, seed=seed,
+                                     shard_devices=4096, diagnose=True)
+        kernel = _kernel_payload(engine)
+        assert kernel["hints"]
+        assert canonical_json(kernel) == canonical_json(
+            _scalar_payload(engine))
+
+    def test_matches_scalar_path_across_workers(self):
+        engine = StreamingExperiment(n_devices=self.N, seed=5,
+                                     shard_devices=4096)
+        assert canonical_json(_kernel_payload(engine, workers=2)) == (
+            canonical_json(_scalar_payload(engine)))
+
+    @pytest.mark.parametrize("seed", [77, 2])
+    def test_matches_scalar_path_under_legacy_scheme(self, seed):
+        # 256-chip batches: the legacy stream crosses batch boundaries.
+        engine = StreamingExperiment(n_devices=2048, seed=seed,
+                                     scheme="legacy", block_devices=256)
+        assert canonical_json(_kernel_payload(engine)) == canonical_json(
+            _scalar_payload(engine))
+
+    @pytest.mark.parametrize("make", [
+        lambda: ChaosBehaviorModel(DefectBehaviorModel(CMOS018),
+                                   FaultInjector(seed=0)),
+        DuckModel,
+        lambda: VlvBlindModel(CMOS018),
+    ], ids=["chaos", "duck", "subclass"])
+    def test_models_without_a_trusted_hook_take_the_scalar_path(self,
+                                                                make):
+        engine = StreamingExperiment(n_devices=self.N, seed=9,
+                                     shard_devices=4096, behavior=make())
+        assert defect_kernel(engine.behavior) is None
+        assert canonical_json(_kernel_payload(engine)) == canonical_json(
+            _scalar_payload(engine))
+
+    def test_overridden_physics_is_not_answered_by_the_stock_kernel(self):
+        stock = _kernel_payload(StreamingExperiment(
+            n_devices=self.N, seed=9, shard_devices=4096))
+        blind = _kernel_payload(StreamingExperiment(
+            n_devices=self.N, seed=9, shard_devices=4096,
+            behavior=VlvBlindModel(CMOS018)))
+        assert blind != stock
+
+    def test_counting_model_delegates_the_hook_uncounted(self):
+        counting = CountingBehaviorModel(DefectBehaviorModel(CMOS018))
+        engine = StreamingExperiment(n_devices=self.N, seed=9,
+                                     shard_devices=4096, behavior=counting)
+        assert defect_kernel(counting) is not None
+        payload = _kernel_payload(engine)
+        assert counting.calls == 0
+        assert canonical_json(payload) == canonical_json(_kernel_payload(
+            StreamingExperiment(n_devices=self.N, seed=9,
+                                shard_devices=4096)))
+
+    @pytest.mark.parametrize("model, error, match", [
+        (RaisingHookModel, RuntimeError, "vector unit on fire"),
+        (BadShapeHookModel, ValueError, "evaluate_defects returned shape"),
+    ])
+    def test_a_failing_hook_fails_the_shard(self, model, error, match):
+        engine = StreamingExperiment(n_devices=4096, seed=9,
+                                     shard_devices=4096,
+                                     behavior=model(CMOS018))
+        with pytest.raises(error, match=match):
+            StreamingRunner(engine).run()
 
 
 class TestRunnerObservability:

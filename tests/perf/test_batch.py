@@ -12,6 +12,7 @@ speedup claim appears only as deterministic call-count inequalities.
 import dataclasses
 import hashlib
 import json
+import random
 import struct
 
 import numpy as np
@@ -140,7 +141,10 @@ class TestBatchHookOracle:
     def test_full_grid_and_every_transition(self):
         """The differential gate: every site class x strength x
         polarity, seven conditions, a dense 1 Ohm .. 1 GOhm grid plus
-        each row's exact float transition +-3 ulps."""
+        each row's exact float transition +-3 ulps -- as the
+        ``evaluate_batch`` grid and as the ``evaluate_defects``
+        diagonal, every cell one defect at its own R, shuffled so
+        that neighbours differ in class and R."""
         model = DefectBehaviorModel(CMOS018)
         sites = gate_sites()
         grid = [float(r) for r in np.logspace(0, 9, 400)]
@@ -148,10 +152,13 @@ class TestBatchHookOracle:
         for cond in gate_conditions():
             matrix = model.evaluate_batch(sites, grid, cond)
             assert matrix.shape == (len(sites), len(grid))
+            # (defect, scalar answer, grid answer) for every cell.
+            diagonal = []
             for i, site in enumerate(sites):
-                row = [model.fails_condition(site.with_resistance(r), cond)
-                       for r in grid]
+                defects = [site.with_resistance(r) for r in grid]
+                row = [model.fails_condition(d, cond) for d in defects]
                 assert matrix[i].tolist() == row, f"{site} under {cond.name}"
+                diagonal += zip(defects, row, matrix[i].tolist())
                 cells += len(grid)
                 for j in range(len(grid) - 1):
                     if row[j] == row[j + 1]:
@@ -160,14 +167,26 @@ class TestBatchHookOracle:
                                             grid[j + 1])
                     probes = [bits_float(b)
                               for b in range(edge - 3, edge + 4)]
-                    exact = [model.fails_condition(
-                        site.with_resistance(r), cond) for r in probes]
+                    defects = [site.with_resistance(r) for r in probes]
+                    exact = [model.fails_condition(d, cond)
+                             for d in defects]
                     batch = model.evaluate_batch([site], probes, cond)
                     assert batch[0].tolist() == exact, (
                         f"{site} under {cond.name} near R={probes[3]!r}")
                     assert exact[2] != exact[3]
+                    diagonal += zip(defects, exact, batch[0].tolist())
                     cells += len(probes)
                     transitions += 1
+            random.Random(f"diagonal:{cond.name}").shuffle(diagonal)
+            defects, scalar, gridded = (list(c) for c in zip(*diagonal))
+            answer = model.evaluate_defects(defects, cond)
+            assert answer.shape == (len(defects),)
+            mismatches = [d for d, got, want in zip(defects, answer.tolist(),
+                                                    scalar) if got != want]
+            assert mismatches == [], (
+                f"{len(mismatches)} diagonal cells off fails_condition "
+                f"under {cond.name}, first {mismatches[0]}")
+            assert answer.tolist() == gridded
         # The gate must actually reach the boundaries it exists for.
         assert transitions >= 300
         assert cells > 200_000
@@ -313,6 +332,7 @@ class TestChaosEquivalence:
         chaos = ChaosBehaviorModel(DefectBehaviorModel(CMOS018),
                                    FaultInjector())
         assert chaos.evaluate_batch is None
+        assert chaos.evaluate_defects is None
 
     def test_flaky_faults_identical_ledgers(self, counting_campaign):
         exact = self.chaos_run(
